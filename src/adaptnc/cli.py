@@ -70,12 +70,18 @@ def cmd_solve(config: ExperimentConfig, workers: int = 1) -> int:
         table.write_csv(fp)
 
     k = table.k_star
+    t = np.arange(config.horizon + 1)
     checks = {
         "k_star non-decreasing": bool((np.diff(k) >= 0).all()),
         "k_star <= k_greedy": bool((k[1:] <= table.k_greedy[1:]).all()),
+        "value all finite": bool(np.isfinite(table.value).all()),
         "value within [0, t]": bool(
-            (table.value >= -1e-12).all()
-            and (table.value <= np.arange(config.horizon + 1) + 1e-9).all()
+            (table.value >= -1e-12).all() and (table.value <= t + 1e-9).all()
+        ),
+        # every delivered packet must reach the worst receiver, which hears
+        # (1 - max e) of the slots on average
+        "value <= (1 - max e) t": bool(
+            (table.value <= (1.0 - channel.worst_erasure()) * t + 1e-9).all()
         ),
     }
     for name, ok in checks.items():

@@ -191,6 +191,11 @@ class ExperimentConfig:
             )
             for p in self.policies:
                 _require(p in POLICY_KINDS, f"policies entry {p!r} is not a known policy kind")
+            _require(
+                self.channel.erasure is None and self.channel.erasures is None,
+                "simulate takes its erasure rates from epsilon_grid: "
+                "give channel.receivers only, not channel.erasure or channel.erasures",
+            )
         if self.kind == "learn":
             _require(self.horizon >= 1, "learn requires horizon >= 1")
             _require(self.policy.kind == "learning", "learn requires policy.kind: learning")

@@ -5,8 +5,17 @@ Every random draw in the package comes from a Philox generator keyed by
 such a generator, so the bit consumed for (slot, receiver) is a pure function
 of (seed, stream, slot, receiver): replications can run in any order, split
 across processes, or be replayed one at a time, and the traces never change.
+
+Short-lived streams (one per frame or replication) are not given a generator
+of their own: ``fill_uniform`` re-keys one Philox bit generator per thread to
+(seed, stream) with counter 0 and an empty buffer, which yields exactly the
+draws a fresh ``RngSpec(seed, stream).generator()`` would, at a fraction of
+the cost of building one. The (seed, stream, slot, receiver) address of every
+draw is unchanged. Long-lived streams that are consumed across many calls use
+``RngSpec.generator()``.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,36 @@ class RngSpec:
         return RngSpec(self.seed, (self.stream + offset) % 2**64)
 
 
+class _Rekeyable(threading.local):
+    """One Philox bit generator per thread, with the state dict that resets
+    it: counter 0 and an empty buffer (``buffer_pos`` 4, ``has_uint32`` 0), as
+    freshly constructed. Setting ``bit_generator.state`` copies the values
+    out of the dict, so the template never changes except for its key."""
+
+    def __init__(self):
+        self.bit_generator = np.random.Philox(key=np.zeros(2, dtype=_U64))
+        self.generator = np.random.Generator(self.bit_generator)
+        self.state = self.bit_generator.state
+        self.key = self.state["state"]["key"]
+
+
+_REKEYABLE = _Rekeyable()
+
+
+def fill_uniform(seed: int, stream: int, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 array ``out`` with the first ``out.size`` uniforms of
+    stream (seed, stream) and return it.
+
+    Bit for bit equal to ``RngSpec(seed, stream).generator().random(out.shape)``;
+    both arguments must fit in 64 bits.
+    """
+    local = _REKEYABLE
+    local.key[0] = seed
+    local.key[1] = stream
+    local.bit_generator.state = local.state
+    return local.generator.random(out=out)
+
+
 def frame_bits(rng: RngSpec, horizon: int, erasures) -> np.ndarray:
     """(horizon, n_receivers) reception indicators for one frame.
 
@@ -42,5 +81,5 @@ def frame_bits(rng: RngSpec, horizon: int, erasures) -> np.ndarray:
     s-th slot. Drawn in one call so the channel realization is independent of
     the policy driving the frame.
     """
-    u = rng.generator().random((horizon, len(erasures)))
+    u = fill_uniform(rng.seed, rng.stream, np.empty((horizon, len(erasures))))
     return u < (1.0 - np.asarray(erasures))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .policies import BlockPolicy
-from .rng import RngSpec, frame_bits
+from .rng import RngSpec, fill_uniform, frame_bits
 
 
 @dataclass
@@ -147,10 +147,11 @@ def _batch_delivered(k_vec, horizon, backlog, erasures, seed, streams) -> np.nda
     """
     c = len(streams)
     n = len(erasures)
-    u = np.empty((c, horizon, n))
+    receive = 1.0 - np.asarray(erasures)
+    u = np.empty((horizon, n))
+    bits = np.empty((c, horizon, n), dtype=bool)
     for j, st in enumerate(streams):
-        u[j] = RngSpec(seed, int(st)).generator().random((horizon, n))
-    bits = u < (1.0 - np.asarray(erasures))
+        np.less(fill_uniform(seed, int(st), u), receive, out=bits[j])
     csum = np.zeros((c, horizon + 1, n), dtype=np.int32)
     np.cumsum(bits, axis=1, out=csum[:, 1:, :])
 

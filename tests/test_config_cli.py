@@ -107,6 +107,15 @@ class TestConfigValidation:
                 "not a known policy kind",
             ),
             (
+                dict(kind="simulate", channel={"receivers": 5, "erasure": 0.2},
+                     epsilon_grid=[0.2]),
+                "rates from epsilon_grid",
+            ),
+            (
+                dict(kind="simulate", channel={"erasures": [0.1, 0.9]}, epsilon_grid=[0.2]),
+                "rates from epsilon_grid",
+            ),
+            (
                 dict(kind="learn", channel={"receivers": 5, "erasure": 0.2}),
                 "policy.kind: learning",
             ),
@@ -251,6 +260,19 @@ class TestCliSolve:
         manifest = json.loads((override / "run_manifest.json").read_text())
         assert manifest["config_sha256"] == config_digest(stored)
         assert manifest["config_sha256"] != config_digest(cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_value_above_the_worst_receiver_ceiling_exits_3(self, tmp_path, capsys):
+        # at this horizon the decode table underflows and value[t] exceeds
+        # (1 - max e) t, which no schedule can deliver; once the tail is
+        # evaluated in log space this run is valid and should exit 0
+        path, _ = write_config(
+            tmp_path, out=str(tmp_path / "run"), kind="solve", horizon=2000,
+            channel={"receivers": 5, "erasure": 0.5},
+        )
+        assert cli.main(["solve", "--config", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert "value <= (1 - max e) t: VIOLATED" in out
 
 
 class TestCliSimulate:

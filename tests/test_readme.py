@@ -1,0 +1,28 @@
+"""The README's library quick tour must run as written, and the entry points
+it names must exist."""
+
+import re
+from pathlib import Path
+
+import adaptnc
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_quick_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README, flags=re.S)
+    assert blocks, "README has no python block"
+    for block in blocks:
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+    summary, table = namespace["summary"], namespace["table"]
+    assert abs(summary.mean - table.value[30]) < 5 * summary.stderr
+
+
+def test_named_entry_points_exist():
+    listed = re.search(r"Multi-flow entry points\s+are (.*?)\.\n", README, flags=re.S)
+    assert listed
+    names = re.findall(r"`(\w+)`", listed.group(1))
+    assert len(names) == 5
+    for name in names:
+        assert hasattr(adaptnc, name), name

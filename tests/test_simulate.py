@@ -181,10 +181,11 @@ class TestEngineAgreement:
         whole = monte_carlo_throughput(
             policy, 6, 6, ch, 300, RngSpec(8, 0), keep_samples=True
         )
-        pieces = monte_carlo_throughput(
-            policy, 6, 6, ch, 300, RngSpec(8, 0), chunk=64, keep_samples=True
-        )
-        assert (whole.samples == pieces.samples).all()
+        for chunk in (1, 7, 64, 65536):
+            pieces = monte_carlo_throughput(
+                policy, 6, 6, ch, 300, RngSpec(8, 0), chunk=chunk, keep_samples=True
+            )
+            assert (whole.samples == pieces.samples).all(), chunk
 
     def test_mid_frame_zero_block_is_rejected(self):
         ch = ChannelModel.homogeneous(0.5, 1)
