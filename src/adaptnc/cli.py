@@ -3,8 +3,9 @@
 Every command reads one YAML config (plus optional --seed/--out overrides),
 writes plain CSV files and a run manifest into the output directory, and is
 deterministic given (config, seed). Exit codes: 0 success, 2 bad
-configuration, 3 a runtime invariant check failed (a bug signal, never
-silenced).
+configuration, 3 a runtime invariant check failed or the decode table or
+solver hit a floating-point overflow, division by zero or invalid value (a
+bug signal, never silenced). A solve writes nothing when its checks fail.
 
 CSV schemas (schema version 1):
   solve.csv      t, k_star, k_greedy, value
@@ -65,10 +66,6 @@ def _write_manifest(config: ExperimentConfig, out: Path, files: list):
 def cmd_solve(config: ExperimentConfig, workers: int = 1) -> int:
     channel = config.channel.to_model()
     table = solve_monotone(config.horizon, channel)
-    out = _out_dir(config)
-    with open(out / "solve.csv", "w", newline="", encoding="utf-8") as fp:
-        table.write_csv(fp)
-
     k = table.k_star
     t = np.arange(config.horizon + 1)
     checks = {
@@ -88,6 +85,9 @@ def cmd_solve(config: ExperimentConfig, workers: int = 1) -> int:
         print(f"{name}: {'ok' if ok else 'VIOLATED'}")
     if not all(checks.values()):
         raise InvariantViolation("solved table violates a structural property")
+    out = _out_dir(config)
+    with open(out / "solve.csv", "w", newline="", encoding="utf-8") as fp:
+        table.write_csv(fp)
     _write_manifest(config, out, ["solve.csv"])
     print(f"solved horizon {config.horizon} for {channel.n_receivers} receivers -> {out/'solve.csv'}")
     return 0
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except InvariantViolation as exc:
+    except (InvariantViolation, FloatingPointError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
 

@@ -1,17 +1,23 @@
 """Decoding probabilities and completion-time statistics for coded blocks.
 
-A block of K coded packets is broadcast one packet per slot, one slot per
-packet, until every receiver has collected K of them (random linear coding
-makes every reception useful, so a receiver only needs a count). The core
-quantity is the probability that a block of size K finishes within a given
-number of slots; everything else here (completion distributions, reward,
-moments) derives from it.
+A block of K coded packets is broadcast one packet per slot until every
+receiver has collected K of them (random linear coding makes every reception
+useful, so a receiver only needs a count). The core quantity is the
+probability that a block of size K finishes within a given number of slots;
+everything else here (decode tables, completion distributions, moments)
+derives from it.
 
-The single-receiver probability is a negative-binomial tail evaluated with a
-multiplicative term recurrence, never with raw factorials, so it stays stable
-for block sizes in the hundreds.
+One kernel, ``_decode_tail``, computes that probability for one receiver over
+every slot count up to a horizon. It sums the negative-binomial terms
+C(tau-1, K-1) * e**(tau-K) * (1-e)**K of the K-th reception landing in slot
+tau, each built in log space from a cached log-factorial table, so no term
+underflows before it is truly negligible and blocks in the thousands stay
+exact to rounding. Receivers are independent, so a channel's probability is
+the product of its receivers' probabilities, one power per distinct rate.
 """
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,61 +30,63 @@ from .errors import DivergenceError
 # one that the moments are astronomically large.
 _MAX_SERIES_SLOTS = 5_000_000
 
+# log(m!) for m = 0 .. size-1, grown on demand by _log_factorials
+_log_factorial = np.zeros(1)
 
-def decode_prob_single(block: int, slots: int, erasure: float) -> float:
-    """Probability one receiver collects ``block`` packets within ``slots``.
 
-    Sum over the slot index of the first moment the count hits ``block``:
-    C(tau-1, block-1) * erasure**(tau-block) * (1-erasure)**block for tau from
-    ``block`` to ``slots``. Terms are chained by
-    term(tau+1) = term(tau) * erasure * tau / (tau - block + 1).
+def _log_factorials(n: int) -> np.ndarray:
+    """log(m!) for m = 0 .. at least n, from a cache that grows geometrically."""
+    global _log_factorial
+    table = _log_factorial
+    if table.size <= n:
+        more = [math.lgamma(m + 1.0) for m in range(table.size, max(n + 1, 2 * table.size))]
+        table = _log_factorial = np.concatenate((table, more))
+    return table
+
+
+def _decode_tail(block: int, slots: int, erasure: float) -> np.ndarray:
+    """P(one receiver holds ``block`` packets after t slots) for t = 0 .. slots.
+
+    Entry t is the cumulative sum, over tau = block .. t, of
+    C(tau-1, block-1) * erasure**(tau-block) * (1-erasure)**block.
     """
-    if not 0.0 <= erasure <= 1.0:
-        raise ValueError(f"erasure probability {erasure} outside [0, 1]")
+    tail = np.zeros(slots + 1)
+    if block == 0:
+        tail[:] = 1.0
+    elif block <= slots and erasure == 0.0:
+        tail[block:] = 1.0
+    elif block <= slots and erasure < 1.0:
+        lf = _log_factorials(slots)
+        lost = np.arange(slots - block + 1)
+        log_terms = (
+            lf[block - 1 : slots]
+            - lf[block - 1]
+            - lf[: slots - block + 1]
+            + lost * math.log(erasure)
+            + block * math.log1p(-erasure)
+        )
+        tail[block:] = np.minimum(np.cumsum(np.exp(log_terms)), 1.0)
+    return tail
+
+
+def _channel_tail(block: int, slots: int, channel: ChannelModel) -> np.ndarray:
+    """P(every receiver holds ``block`` packets after t slots) for t = 0 .. slots."""
     if block < 0 or slots < 0:
         raise ValueError("block and slots must be non-negative")
-    if block == 0:
-        return 1.0
-    if block > slots:
-        return 0.0
-    term = (1.0 - erasure) ** block
-    total = term
-    for tau in range(block, slots):
-        term *= erasure * tau / (tau - block + 1)
-        total += term
-    return min(total, 1.0)
+    tail = np.ones(slots + 1)
+    for eps, count in Counter(channel.erasures).items():
+        tail *= _decode_tail(block, slots, eps) ** count
+    return tail
+
+
+def decode_prob_single(block: int, slots: int, erasure: float) -> float:
+    """Probability one receiver collects ``block`` packets within ``slots``."""
+    return decode_prob(block, slots, ChannelModel((erasure,)))
 
 
 def decode_prob(block: int, slots: int, channel: ChannelModel) -> float:
-    """Probability every receiver decodes a ``block``-packet block in ``slots``.
-
-    Receivers are independent, so this is the product of the per-receiver
-    probabilities. Identical erasure rates are grouped into one power.
-    """
-    if block == 0:
-        return 1.0
-    prob = 1.0
-    for eps in set(channel.erasures):
-        count = channel.erasures.count(eps)
-        prob *= decode_prob_single(block, slots, eps) ** count
-    return prob
-
-
-def _single_receiver_table(erasure: float, horizon: int) -> np.ndarray:
-    """(horizon+1, horizon+1) array of decode_prob_single(k, t, erasure)."""
-    T = horizon
-    P = np.zeros((T + 1, T + 1))
-    P[0, :] = 1.0
-    for k in range(1, T + 1):
-        first = (1.0 - erasure) ** k
-        taus = np.arange(k, T, dtype=float)
-        if taus.size:
-            ratios = erasure * taus / (taus - k + 1.0)
-            terms = first * np.concatenate(([1.0], np.cumprod(ratios)))
-        else:
-            terms = np.array([first])
-        P[k, k:] = np.minimum(np.cumsum(terms), 1.0)
-    return P
+    """Probability every receiver decodes a ``block``-packet block in ``slots``."""
+    return float(_channel_tail(block, slots, channel)[slots])
 
 
 class DecodingTable:
@@ -90,29 +98,22 @@ class DecodingTable:
     exactly at slot t; both arrays are frozen after construction.
     """
 
+    @np.errstate(over="raise", divide="raise", invalid="raise")
     def __init__(self, channel: ChannelModel, horizon: int):
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
         self.channel = channel
         self.horizon = horizon
-        values = np.ones((horizon + 1, horizon + 1))
-        for eps in set(channel.erasures):
-            count = channel.erasures.count(eps)
-            values *= _single_receiver_table(eps, horizon) ** count
+        values = np.empty((horizon + 1, horizon + 1))
+        for k in range(horizon + 1):
+            values[k] = _channel_tail(k, horizon, channel)
         deltas = np.empty_like(values)
         deltas[:, 0] = values[:, 0]
-        deltas[:, 1:] = values[:, 1:] - values[:, :-1]
+        np.subtract(values[:, 1:], values[:, :-1], out=deltas[:, 1:])
         values.flags.writeable = False
         deltas.flags.writeable = False
         self.values = values
         self.deltas = deltas
-
-    def prob(self, block: int, slots: int) -> float:
-        return float(self.values[block, slots])
-
-    def reward(self, block: int, slots: int) -> float:
-        """Expected packets delivered by committing ``block`` at ``slots`` left."""
-        return block * float(self.values[block, slots])
 
 
 @dataclass(frozen=True)
@@ -137,100 +138,59 @@ def completion_pmf(block: int, slots: int, channel: ChannelModel) -> CompletionP
     """Completion distribution of a ``block``-packet block started with ``slots`` left."""
     if block < 1 or block > slots:
         raise ValueError(f"block {block} outside 1..{slots}")
-    row = np.empty(slots + 1)
-    for t in range(slots + 1):
-        row[t] = decode_prob(block, t, channel)
-    j = np.arange(slots - block + 1)
-    mass = row[slots - j] - row[slots - j - 1]
-    mass = np.maximum(mass, 0.0)
+    row = _channel_tail(block, slots, channel)
+    # mass[j] = row[slots - j] - row[slots - j - 1], j = 0 .. slots - block
+    mass = np.maximum(np.diff(row[block - 1 :])[::-1], 0.0)
     mass.flags.writeable = False
     return CompletionPmf(block=block, horizon=slots, mass=mass, fail=float(1.0 - row[slots]))
 
 
-def immediate_reward(block: int, slots: int, channel: ChannelModel) -> float:
-    """Expected packets delivered by a single block decision, ignoring reuse
-    of leftover slots: block * decode_prob(block, slots, channel). A block of
-    zero packets delivers nothing."""
-    if block < 0 or block > slots:
-        raise ValueError(f"block {block} outside 0..{slots}")
-    if block == 0:
-        return 0.0
-    return block * decode_prob(block, slots, channel)
+def _shortfall_series(block: int, channel: ChannelModel, tol: float, weighted: bool) -> float:
+    """Sum over t >= block of w(t) * (1 - decode_prob(block, t, channel)).
 
-
-class _TailState:
-    """Per-receiver running decode probabilities for the moment series.
-
-    Advances decode_prob_single(k, t, eps_i) for all receivers at once via the
-    term recurrence, and provides a geometric bound on the remaining series
-    mass once the per-slot ratio bound drops below one.
+    The weight w(t) is 2t+1 if ``weighted``, else 1. The kernel is evaluated
+    on a slot window that doubles until some term is below ``tol`` at a slot
+    t where the per-slot ratio bound r = max e * (t+1) / (t+2-block) is below
+    one. The series is cut at the first such t and a geometric bound on the
+    rest (a union bound over the receivers) is added, so the truncation never
+    biases the result low.
     """
-
-    def __init__(self, block: int, channel: ChannelModel):
-        self.k = block
-        self.eps = np.array(channel.erasures)
-        self.term = (1.0 - self.eps) ** block  # exact-completion term at t
-        self.phat = self.term.copy()  # per-receiver decode prob at t
-        self.t = block
-
-    def advance(self):
-        self.term *= self.eps * self.t / (self.t - self.k + 1)
-        self.phat = np.minimum(self.phat + self.term, 1.0)
-        self.t += 1
-
-    def all_decoded_shortfall(self) -> float:
-        """1 - P(all receivers decoded by t)."""
-        return float(1.0 - np.prod(self.phat))
-
-    def ratio_bound(self) -> float:
-        """r with shortfall(t+1) <= r * shortfall(t) per receiver, if r < 1."""
-        return float(np.max(self.eps) * (self.t + 1) / (self.t + 2 - self.k))
-
-    def tail_linear(self) -> float:
-        """Upper bound on sum_{s>t} shortfall(s) via the union bound."""
-        r = self.eps * (self.t + 1) / (self.t + 2 - self.k)
-        miss = 1.0 - self.phat
-        return float(np.sum(miss * r / (1.0 - r)))
-
-    def tail_weighted(self) -> float:
-        """Upper bound on sum_{s>t} (2s+1) * shortfall(s)."""
-        r = self.eps * (self.t + 1) / (self.t + 2 - self.k)
-        miss = 1.0 - self.phat
-        geo = r / (1.0 - r)
-        return float(np.sum(miss * ((2 * self.t + 1) * geo + 2 * geo / (1.0 - r))))
-
-
-def _check_moment_args(block: int, channel: ChannelModel):
     if block < 1:
         raise ValueError("block must be at least 1")
     if any(e >= 1.0 for e in channel.erasures):
-        raise DivergenceError(
-            "a receiver with erasure probability 1 never completes a block"
-        )
+        raise DivergenceError("a receiver with erasure probability 1 never completes a block")
+    rates = Counter(channel.erasures)
+    eps = np.array(list(rates))[:, None]
+    counts = np.array(list(rates.values()))
+    window = 64 + block
+    while True:
+        t = np.arange(block, block + window + 1)
+        tails = np.array([_decode_tail(block, block + window, e)[block:] for e in rates])
+        short = 1.0 - np.prod(tails ** counts[:, None], axis=0)
+        terms = (2 * t + 1) * short if weighted else short
+        ratio = eps * (t + 1) / (t + 2 - block)
+        cut = np.flatnonzero((terms < tol) & (ratio.max(axis=0) < 1.0))
+        if cut.size:
+            i = cut[0]
+            r = ratio[:, i]
+            geo = r / (1.0 - r)
+            rest = (2 * t[i] + 1) * geo + 2 * geo / (1.0 - r) if weighted else geo
+            return float(terms[: i + 1].sum() + np.dot(counts, (1.0 - tails[:, i]) * rest))
+        if window >= _MAX_SERIES_SLOTS:
+            raise DivergenceError(
+                f"moment series did not reach tol={tol} within {_MAX_SERIES_SLOTS} slots"
+            )
+        window = min(2 * window, _MAX_SERIES_SLOTS)
 
 
 def expected_completion_time(block: int, channel: ChannelModel, tol: float = 1e-9) -> float:
     """Mean number of slots until every receiver decodes a ``block`` block.
 
     Evaluated as block + sum over t >= block of the shortfall probability
-    1 - decode_prob(block, t, channel). The series is truncated once the
-    shortfall drops below ``tol`` and a valid geometric tail bound exists; the
-    bound is added so the truncation never biases the result low.
+    1 - decode_prob(block, t, channel), truncated with a geometric tail bound
+    once the shortfall drops below ``tol``.
     """
-    _check_moment_args(block, channel)
-    state = _TailState(block, channel)
-    total = float(block)
-    while True:
-        u = state.all_decoded_shortfall()
-        total += u
-        if u < tol and state.ratio_bound() < 1.0:
-            return total + state.tail_linear()
-        if state.t - block > _MAX_SERIES_SLOTS:
-            raise DivergenceError(
-                f"completion-time series did not reach tol={tol} within "
-                f"{_MAX_SERIES_SLOTS} slots"
-            )
-        state.advance()
+    return block + _shortfall_series(block, channel, tol, weighted=False)
 
 
 def completion_second_moment(block: int, channel: ChannelModel, tol: float = 1e-9) -> float:
@@ -239,20 +199,7 @@ def completion_second_moment(block: int, channel: ChannelModel, tol: float = 1e-
     Uses E[X^2] = sum_{t>=0} (2t+1) P(X > t), truncated like
     expected_completion_time with a weighted geometric tail bound.
     """
-    _check_moment_args(block, channel)
-    state = _TailState(block, channel)
-    total = float(block) ** 2
-    while True:
-        u = state.all_decoded_shortfall()
-        total += (2 * state.t + 1) * u
-        if (2 * state.t + 1) * u < tol and state.ratio_bound() < 1.0:
-            return total + state.tail_weighted()
-        if state.t - block > _MAX_SERIES_SLOTS:
-            raise DivergenceError(
-                f"second-moment series did not reach tol={tol} within "
-                f"{_MAX_SERIES_SLOTS} slots"
-            )
-        state.advance()
+    return float(block) ** 2 + _shortfall_series(block, channel, tol, weighted=True)
 
 
 def max_block_for_variance(

@@ -84,6 +84,7 @@ def _bellman_value(table: DecodingTable, value: np.ndarray, t: int, k: int) -> f
     return k * float(table.values[k, t]) + cont
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> PolicyTable:
     caps = _cap_vector(k_cap, horizon)
     table = DecodingTable(channel, horizon)

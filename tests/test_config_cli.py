@@ -3,6 +3,7 @@ exit codes, CSV schemas, manifest contents, determinism across seeds and
 worker counts."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,18 +262,45 @@ class TestCliSolve:
         assert manifest["config_sha256"] == config_digest(stored)
         assert manifest["config_sha256"] != config_digest(cfg)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_value_above_the_worst_receiver_ceiling_exits_3(self, tmp_path, capsys):
-        # at this horizon the decode table underflows and value[t] exceeds
-        # (1 - max e) t, which no schedule can deliver; once the tail is
-        # evaluated in log space this run is valid and should exit 0
+    def test_long_horizon_solve_passes_every_check(self, tmp_path, capsys):
+        # (1 - e)**k falls below the smallest double long before k = 2000,
+        # so this table is finite and under the ceiling only if the decode
+        # terms never pass through that power
         path, _ = write_config(
             tmp_path, out=str(tmp_path / "run"), kind="solve", horizon=2000,
             channel={"receivers": 5, "erasure": 0.5},
         )
+        assert cli.main(["solve", "--config", str(path)]) == 0
+        checks = [line for line in capsys.readouterr().out.splitlines() if ": " in line]
+        assert len(checks) == 5
+        assert all(line.endswith(": ok") for line in checks)
+
+    def test_violated_check_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def above_the_ceiling(horizon, channel):
+            table = solve_monotone(horizon, channel)
+            value = table.value.copy()
+            value[-1] = horizon  # a receiver hearing (1 - e) of the slots cannot get this
+            return replace(table, value=value)
+
+        monkeypatch.setattr(cli, "solve_monotone", above_the_ceiling)
+        path, _ = write_config(tmp_path, out=str(tmp_path / "run"), **SOLVE_FIELDS)
         assert cli.main(["solve", "--config", str(path)]) == 3
-        out = capsys.readouterr().out
-        assert "value <= (1 - max e) t: VIOLATED" in out
+        captured = capsys.readouterr()
+        assert "value <= (1 - max e) t: VIOLATED" in captured.out
+        assert "invariant violation:" in captured.err
+        assert not (tmp_path / "run" / "solve.csv").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_floating_point_fault_exits_3(self, tmp_path, monkeypatch, capsys):
+        def overflowing(horizon, channel):
+            with np.errstate(over="raise"):
+                np.exp(np.array([1e3]))
+
+        monkeypatch.setattr(cli, "solve_monotone", overflowing)
+        path, _ = write_config(tmp_path, out=str(tmp_path / "run"), **SOLVE_FIELDS)
+        assert cli.main(["solve", "--config", str(path)]) == 3
+        assert "invariant violation: overflow" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestCliSimulate:

@@ -1,12 +1,15 @@
 """Decoding-probability and completion-moment tests.
 
-The reference oracle evaluates the single-receiver completion sum in exact
-rational arithmetic (fractions + math.comb), so the recurrence-based
-implementation is checked against ground truth, not against itself. Moment
-operations are checked against plain truncated sums computed independently.
+The reference oracles evaluate the single-receiver decode probability in
+exact rational arithmetic (fractions + math.comb) and, for long horizons, as
+a binomial upper tail summed from math.lgamma terms with math.fsum, so the
+log-space negative-binomial kernel is checked against ground truth, not
+against itself. Moment operations are checked against plain truncated sums
+computed independently and against negative-binomial closed forms.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +27,8 @@ from adaptnc import (
     decode_prob,
     decode_prob_single,
     expected_completion_time,
-    immediate_reward,
     max_block_for_variance,
+    solve_monotone,
 )
 
 
@@ -43,6 +46,48 @@ def exact_single(block: int, slots: int, erasure: Fraction) -> Fraction:
             * (1 - erasure) ** block
         )
     return total
+
+
+def exact_binomial_tails(slots: int, erasure: Fraction) -> list[float]:
+    """P(at least k of ``slots`` slots are heard) for k = 0 .. slots + 1.
+
+    Decoding a k-packet block within ``slots`` slots is the event that a
+    Binomial(slots, 1 - erasure) count reaches k. The suffix sums of its
+    terms are exact integers over the common denominator b**slots, and
+    integer true division rounds each quotient correctly.
+    """
+    a, b = erasure.numerator, erasure.denominator
+    tails = [0] * (slots + 2)
+    for j in range(slots, -1, -1):
+        tails[j] = tails[j + 1] + math.comb(slots, j) * (b - a) ** j * a ** (slots - j)
+    denominator = b**slots
+    return [x / denominator for x in tails]
+
+
+def lgamma_single(block: int, slots: int, erasure: float) -> float:
+    """Binomial upper tail from math.lgamma terms, summed with math.fsum."""
+    if block == 0:
+        return 1.0
+    if block > slots or erasure == 1.0:
+        return 0.0
+    if erasure == 0.0:
+        return 1.0
+    log_e, log_h = math.log(erasure), math.log1p(-erasure)
+    log_n = math.lgamma(slots + 1)
+    return math.fsum(
+        math.exp(
+            log_n - math.lgamma(j + 1) - math.lgamma(slots - j + 1)
+            + j * log_h + (slots - j) * log_e
+        )
+        for j in range(block, slots + 1)
+    )
+
+
+def immediate_reward(block: int, slots: int, channel: ChannelModel) -> float:
+    """Single-shot reward of one block decision: block * decode_prob."""
+    if block < 0 or block > slots:
+        raise ValueError(f"block {block} outside 0..{slots}")
+    return block * decode_prob(block, slots, channel) if block else 0.0
 
 
 def truncated_mean(block: int, channel: ChannelModel, upto: int) -> float:
@@ -92,7 +137,7 @@ class TestDecodeProbSingle:
                     assert diff == pytest.approx(want, abs=1e-10)
 
     def test_large_block_stability(self):
-        # hundreds of packets: the term recurrence must not overflow or drift
+        # hundreds of packets: the log-space terms must not overflow or drift
         got = decode_prob_single(300, 700, 0.5)
         assert 0.0 <= got <= 1.0
         # mean successes is 350 >= 300, so the probability is substantial
@@ -117,6 +162,68 @@ class TestDecodeProbSingle:
             decode_prob_single(-1, 1, 0.5)
         with pytest.raises(ValueError):
             decode_prob_single(1, -1, 0.5)
+
+
+class TestLongHorizons:
+    """Horizons into the thousands, where (1 - e)**K underflows a double."""
+
+    @pytest.mark.parametrize(
+        "slots, erasure",
+        [(1000, e) for e in (Fraction(0), Fraction(1, 8), Fraction(1, 2),
+                             Fraction(27, 32), Fraction(15, 16), Fraction(1))]
+        + [(3000, Fraction(1, 2)), (3000, Fraction(27, 32))],
+    )
+    def test_matches_exact_binomial_tail(self, slots, erasure):
+        # dyadic rates are exact in binary, so float(erasure) is the same rate
+        want = exact_binomial_tails(slots, erasure)
+        for block in range(0, slots + 2, 7):
+            got = decode_prob_single(block, slots, float(erasure))
+            assert got == pytest.approx(want[block], rel=1e-10, abs=1e-300), block
+
+    @given(
+        slots=st.integers(0, 3000),
+        share=st.floats(0.0, 1.0),
+        eps=st.floats(0.0, 1.0, allow_nan=False),
+    )
+    @settings(deadline=None, derandomize=True)
+    def test_matches_lgamma_oracle(self, slots, share, eps):
+        block = round(share * (slots + 1))
+        want = lgamma_single(block, slots, eps)
+        assert decode_prob_single(block, slots, eps) == pytest.approx(
+            want, rel=1e-9, abs=1e-300
+        )
+
+    def test_regression_points(self):
+        assert decode_prob_single(400, 3000, 0.85) == pytest.approx(0.995576, abs=1e-6)
+        assert decode_prob_single(1200, 3000, 0.5) == pytest.approx(1.0, abs=1e-12)
+
+    def test_table_at_rate_extremes(self):
+        # a receiver that hears nothing zeroes every row but k = 0; one that
+        # hears everything leaves the other receivers' probabilities as they are
+        deaf = DecodingTable(ChannelModel(erasures=(0.0, 0.85, 1.0)), 1100)
+        assert (deaf.values[0] == 1.0).all()
+        assert (deaf.values[1:] == 0.0).all() and (deaf.deltas[1:] == 0.0).all()
+        table = DecodingTable(ChannelModel(erasures=(0.0, 0.85)), 600)
+        assert table.values[80, 600] == pytest.approx(
+            lgamma_single(80, 600, 0.85), rel=1e-9
+        )
+
+    def test_long_completion_time_is_fast_and_exact(self):
+        # negative binomial: mean K/(1-e), variance K e/(1-e)**2
+        ch = ChannelModel.homogeneous(0.9, 1)
+        start = time.perf_counter()
+        mean = expected_completion_time(330, ch)
+        second = completion_second_moment(330, ch)
+        assert time.perf_counter() - start < 1.0
+        assert mean == pytest.approx(3300.0, rel=1e-9)
+        assert second == pytest.approx(29700.0 + 3300.0**2, rel=1e-9)
+
+    def test_long_horizon_solve_respects_the_receiver_ceiling(self):
+        eps = 0.5
+        table = solve_monotone(2000, ChannelModel.homogeneous(eps, 5))
+        t = np.arange(2001)
+        assert np.isfinite(table.value).all()
+        assert (table.value <= (1.0 - eps) * t + 1e-9).all()
 
 
 class TestDecodeProb:
@@ -166,7 +273,7 @@ class TestDecodingTable:
         table = DecodingTable(ch, 12)
         for block in range(0, 13):
             for slots in range(0, 13):
-                assert table.prob(block, slots) == pytest.approx(
+                assert table.values[block, slots] == pytest.approx(
                     decode_prob(block, slots, ch), abs=1e-12
                 )
 
@@ -196,7 +303,7 @@ class TestDecodingTable:
 
     def test_reward_and_immutability(self):
         table = DecodingTable(ChannelModel.homogeneous(0.5, 1), 5)
-        assert table.reward(2, 3) == pytest.approx(1.0)
+        assert 2 * table.values[2, 3] == pytest.approx(1.0)
         with pytest.raises(ValueError):
             table.values[0, 0] = 0.5
 
