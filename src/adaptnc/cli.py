@@ -21,7 +21,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +117,8 @@ def cmd_simulate(config: ExperimentConfig, workers: int = 1) -> int:
             jobs.append((eps, kind, config.horizon, receivers, backlog,
                          config.replications, config.seed, stream, params))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_simulate_cell, jobs))
     else:

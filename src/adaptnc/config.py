@@ -7,7 +7,7 @@ valid configs, which keeps run manifests trustworthy.
 """
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import yaml
 
@@ -203,6 +203,13 @@ class ExperimentConfig:
             _require(self.horizon >= 1, f"{self.kind} requires horizon >= 1")
             ids = [f.flow_id for f in self.flows]
             _require(len(set(ids)) == len(ids), "flows must have unique flow_id values")
+            # the flows as they will run: a region sweep runs every grid value
+            # on its axis in place of the template's own
+            specs = [f.to_spec() for f in self.flows]
+            if self.kind == "region":
+                specs = [replace(s, **{self.axis: v}) for s in specs for v in self.grid]
+            for spec in specs:
+                spec.check_arrivals(self.horizon)
         if self.kind == "region":
             _require(len(self.flows) == 2, "region requires exactly two template flows")
             _require(len(self.grid) >= 1, "region requires a non-empty grid")

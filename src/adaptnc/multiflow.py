@@ -56,17 +56,29 @@ class FlowSpec:
         if self.arrival_batches is not None and self.arrival_batches < 1:
             raise ConfigError(f"flow {self.flow_id}: arrival batches must be >= 1")
 
-    def sample_arrivals(self, horizon: int, gen: np.random.Generator) -> int:
+    def check_arrivals(self, horizon: int):
+        """Reject arrival settings a frame of ``horizon`` slots cannot use:
+        a Bernoulli rate above its batch count (the horizon when unset), or a
+        batch count on a Poisson flow, which would ignore it."""
         if self.arrival_process == "poisson":
-            return int(gen.poisson(self.arrival_rate))
+            if self.arrival_batches is not None:
+                raise ConfigError(
+                    f"flow {self.flow_id}: arrival batches apply only to bernoulli arrivals"
+                )
+            return
         n = self.arrival_batches if self.arrival_batches is not None else horizon
-        p = self.arrival_rate / n
-        if p > 1.0:
+        if self.arrival_rate / n > 1.0:
             raise ConfigError(
                 f"flow {self.flow_id}: arrival rate {self.arrival_rate} exceeds "
                 f"{n} Bernoulli batches per frame"
             )
-        return int(gen.binomial(n, p))
+
+    def sample_arrivals(self, horizon: int, gen: np.random.Generator) -> int:
+        """One frame's arrivals; settings are checked once by check_arrivals."""
+        if self.arrival_process == "poisson":
+            return int(gen.poisson(self.arrival_rate))
+        n = self.arrival_batches if self.arrival_batches is not None else horizon
+        return int(gen.binomial(n, self.arrival_rate / n))
 
 
 @dataclass
@@ -141,9 +153,11 @@ def allocate_slots(
     """Per-frame slot split maximizing sum_f (w_f/rho + nu_hat_f) * c_f(s_f).
 
     Exact resource-allocation dynamic program over flows (state = slots still
-    available, O(flows * horizon^2)). Among maximizing schedules the
-    lexicographically smallest is returned: ties prefer fewer slots for the
-    lowest flow index first.
+    available, O(flows * horizon^2)), run backwards over the flows as one
+    vectorised max-plus step each: candidate[u, s] = gain_f[s] + best[u - s]
+    for s <= u. Among maximizing schedules the lexicographically smallest is
+    returned: ties prefer fewer slots for the lowest flow index first, since
+    argmax keeps the first of equal candidates.
     """
     if rho <= 0:
         raise ConfigError("step size rho must be > 0")
@@ -161,24 +175,19 @@ def allocate_slots(
         for i in range(n_flows)
     ]
 
-    # best[u]: optimal value using flows i..end with u slots; choice[i][u]:
-    # the smallest slot count for flow i attaining it.
-    best = np.zeros(horizon + 1)
+    # best[u] (u <= horizon): optimal value using flows i..end with u slots;
+    # lag[u, s] = u - s, or horizon + 1 for s > u, where best holds -inf.
+    # choice[i][u]: the smallest slot count for flow i attaining best[u].
+    slots = np.arange(horizon + 1)
+    lag = slots[:, None] - slots[None, :]
+    lag[lag < 0] = horizon + 1
+    best = np.zeros(horizon + 2)
+    best[-1] = -np.inf
     choice = np.zeros((n_flows, horizon + 1), dtype=int)
     for i in range(n_flows - 1, -1, -1):
-        g = gains[i]
-        nxt = best
-        best = np.empty(horizon + 1)
-        for u in range(horizon + 1):
-            top = g[0] + nxt[u]
-            pick = 0
-            for s in range(1, u + 1):
-                v = g[s] + nxt[u - s]
-                if v > top:
-                    top = v
-                    pick = s
-            best[u] = top
-            choice[i, u] = pick
+        candidates = gains[i] + best[lag]
+        choice[i] = candidates.argmax(axis=1)
+        best[:-1] = candidates[slots, choice[i]]
 
     schedule = np.zeros(n_flows, dtype=int)
     u = horizon
@@ -341,6 +350,8 @@ def run_online(
         raise ConfigError("need at least one frame")
     if len({f.flow_id for f in flows}) != len(flows):
         raise ConfigError("flow ids must be unique")
+    for f in flows:
+        f.check_arrivals(horizon)
     n_flows = len(flows)
     curves = [service_curve(f, horizon, intra) for f in flows]
     policies = [intra_policy(f, horizon, intra) for f in flows]

@@ -139,6 +139,12 @@ class ThroughputSummary:
     samples: np.ndarray | None = None
 
 
+# Batch-engine chunks: at most _MAX_CHUNK replications, and few enough that
+# one chunk's arrays fit in _CHUNK_BYTES.
+_MAX_CHUNK = 65536
+_CHUNK_BYTES = 256 * 2**20
+
+
 def _batch_delivered(k_vec, horizon, backlog, erasures, seed, streams) -> np.ndarray:
     """Delivered counts for many replications of a table-driven policy.
 
@@ -186,14 +192,16 @@ def monte_carlo_throughput(
     channel: ChannelModel,
     replications: int,
     rng: RngSpec,
-    chunk: int = 65536,
+    chunk: int | None = None,
     keep_samples: bool = False,
 ) -> ThroughputSummary:
     """Mean delivered packets per frame over independent replications.
 
     Replication r uses stream rng.stream + r, so results are identical
     whether replications run batched, chunked, or one by one, and any single
-    replication can be replayed with simulate_frame for inspection.
+    replication can be replayed with simulate_frame for inspection. The
+    batch engine runs ``chunk`` replications at a time; by default as many
+    as fit a fixed memory budget for the frame's slots x receivers.
     Policies that depend on slot history fall back to the per-frame engine
     (with the policy reset between replications); table-driven policies go
     through the batch engine.
@@ -209,6 +217,12 @@ def monte_carlo_throughput(
             delivered[r] = trace.delivered
     else:
         k_vec = np.asarray(k_vec, dtype=np.int64)
+        if chunk is None:
+            # _batch_delivered holds about 10 bytes per (slot, receiver) of a
+            # replication: bool bits, int32 cumsum, the cumsum copy one block
+            # step indexes out, and its bool comparison
+            per_replication = 10 * (horizon + 1) * channel.n_receivers
+            chunk = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_replication))
         parts = []
         for lo in range(0, replications, chunk):
             hi = min(lo + chunk, replications)

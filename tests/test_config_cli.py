@@ -144,6 +144,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unique flow_id"):
             ExperimentConfig(kind="multiflow", flows=flows)
 
+    def test_arrival_settings_checked_against_the_horizon(self):
+        def flows(n=1, **kw):
+            base = {"channel": {"receivers": 2, "erasure": 0.3}, "arrival_rate": 1.0}
+            return [{**base, "flow_id": i, **kw} for i in range(n)]
+
+        cases = [
+            (dict(kind="multiflow", horizon=10, flows=flows(arrival_rate=12.0)),
+             "exceeds 10 Bernoulli batches"),
+            (dict(kind="multiflow", flows=flows(arrival_rate=4.0, arrival_batches=3)),
+             "exceeds 3 Bernoulli batches"),
+            (dict(kind="multiflow", flows=flows(arrival_process="poisson", arrival_batches=3)),
+             "only to bernoulli"),
+            (dict(kind="multiflow", flows=[{"flow_id": 0, "channel": {"receivers": 2},
+                                            "arrival_rate": 1.0}]),
+             "channel.erasure is required"),
+            # a region sweep runs every grid value on its axis
+            (dict(kind="region", horizon=6, axis="arrival_rate", grid=[1.0, 7.0], flows=flows(2)),
+             "arrival rate 7.0 exceeds 6 Bernoulli batches"),
+            (dict(kind="region", grid=[0.5, 1.5], flows=flows(2)), "delivery ratio"),
+        ]
+        for fields, needle in cases:
+            with pytest.raises(ConfigError, match=needle):
+                ExperimentConfig(**fields)
+        # the template's own value on the swept axis never runs
+        ExperimentConfig(kind="region", horizon=6, axis="arrival_rate", grid=[1.0, 6.0],
+                         flows=flows(2, arrival_rate=9.0))
+        ExperimentConfig(kind="multiflow", horizon=6,
+                         flows=flows(arrival_rate=9.0, arrival_process="poisson"))
+
     def test_generic_field_ranges(self):
         base = dict(kind="multiflow")
         for bad in (
@@ -508,6 +537,19 @@ class TestCliErrorPaths:
         path.write_text("kind: solve\nchannel: {receivers: 5}\n", encoding="utf-8")
         assert cli.main(["solve", "--config", str(path)]) == 2
         assert "channel.erasure" in capsys.readouterr().err
+
+    def test_bad_arrival_setting_fails_before_the_output_directory(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            "kind: multiflow\nhorizon: 10\nframes: 5\n"
+            f"out: {tmp_path / 'run'}\n"
+            "flows:\n"
+            "  - {flow_id: 0, arrival_rate: 12.0, channel: {erasure: 0.3, receivers: 2}}\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["multiflow", "--config", str(path)]) == 2
+        assert "exceeds 10 Bernoulli batches" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_nonpositive_workers(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, out=str(tmp_path / "run"), **SOLVE_FIELDS)

@@ -27,6 +27,7 @@ from adaptnc import (
     thinned_arrivals,
     update_deficit,
 )
+from adaptnc import multiflow
 from adaptnc.multiflow import intra_policy
 
 CH = ChannelModel.homogeneous(0.3, 5)
@@ -59,6 +60,42 @@ def oracle_allocation(flows, nu, rho, horizon, curves):
             best_val = total
             best_split = split
     return np.array(best_split, dtype=int)
+
+
+def _reference_allocate(flows, deficits, rho, horizon, curves=None):
+    """The allocator's dynamic program as a plain triple loop over flows,
+    slots available and slots granted: a strict > keeps the smallest slot
+    count, so ties go to fewer slots for the lowest flow index first."""
+    nu = deficits.nu_hat if isinstance(deficits, DeficitState) else np.asarray(deficits, dtype=float)
+    if curves is None:
+        curves = [service_curve(f, horizon) for f in flows]
+    n_flows = len(flows)
+    gains = [
+        (flows[i].weight / rho + float(nu[i])) * curves[i].values[: horizon + 1]
+        for i in range(n_flows)
+    ]
+    best = np.zeros(horizon + 1)
+    choice = np.zeros((n_flows, horizon + 1), dtype=int)
+    for i in range(n_flows - 1, -1, -1):
+        g = gains[i]
+        nxt = best
+        best = np.empty(horizon + 1)
+        for u in range(horizon + 1):
+            top = g[0] + nxt[u]
+            pick = 0
+            for s in range(1, u + 1):
+                v = g[s] + nxt[u - s]
+                if v > top:
+                    top = v
+                    pick = s
+            best[u] = top
+            choice[i, u] = pick
+    schedule = np.zeros(n_flows, dtype=int)
+    u = horizon
+    for i in range(n_flows):
+        schedule[i] = choice[i, u]
+        u -= schedule[i]
+    return schedule
 
 
 class TestServiceCurve:
@@ -139,6 +176,68 @@ class TestAllocateSlots:
             got = allocate_slots(flows, nu, rho, horizon, curves)
             want = oracle_allocation(flows, nu, rho, horizon, curves)
             assert np.array_equal(got, want), (case, got, want)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 10, 30, 100])
+    def test_matches_reference_loop(self, horizon):
+        # random and integer-tied deficits, identical flows, dead channels
+        # (e = 1, an all-zero gain) and 1..5 flows: the schedule must equal
+        # the triple loop's exactly, ties included
+        gen = np.random.default_rng(7000 + horizon)
+        channels = [CH, ChannelModel.homogeneous(0.6, 2), ChannelModel.homogeneous(1.0, 3)]
+        for case in range(60):
+            n_flows = case % 5 + 1
+            rho = float(gen.choice([0.01, 0.1, 1.0]))
+            if case % 4 == 3:
+                ch = channels[int(gen.integers(3))]
+                flows = [flow(i, ch) for i in range(n_flows)]
+                curves = [service_curve(f, horizon) for f in flows]
+                nu = np.full(n_flows, float(gen.integers(0, 3)))
+            else:
+                flows = [
+                    flow(i, channels[int(gen.integers(3))],
+                         weight=float(gen.choice([0.5, 1.0, 3.0])))
+                    for i in range(n_flows)
+                ]
+                curves = []
+                for f in flows:
+                    if gen.random() < 0.5:
+                        curves.append(service_curve(f, horizon))
+                    else:
+                        steps = gen.choice([0.0, 0.5, 1.0], size=horizon)
+                        curves.append(curve(np.concatenate([[0.0], np.cumsum(steps)]), f.flow_id))
+                if case % 2:
+                    nu = gen.integers(0, 4, n_flows).astype(float)
+                else:
+                    nu = gen.random(n_flows) * 20
+            got = allocate_slots(flows, nu, rho, horizon, curves)
+            want = _reference_allocate(flows, nu, rho, horizon, curves)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (case, got, want)
+
+    def test_online_and_static_dual_match_reference(self, monkeypatch):
+        flows = [
+            flow(0, ChannelModel.homogeneous(0.2, 3), lam=4.0, q=0.5),
+            flow(1, CH, lam=3.0, q=0.6, weight=2.0),
+            flow(2, ChannelModel.homogeneous(0.4, 8), lam=5.0, q=0.4, arrival_process="poisson"),
+            flow(3, ChannelModel.homogeneous(0.5, 12), lam=2.0, q=0.7, weight=1.5),
+        ]
+        fast = run_online(flows, 150, 30, 0.1, RngSpec(71, 0))
+        fast_dual = static_dual_iteration(flows, 30, 0.1, 150)
+
+        calls = []
+
+        def reference(*args):
+            calls.append(1)
+            return _reference_allocate(*args)
+
+        monkeypatch.setattr(multiflow, "allocate_slots", reference)
+        slow = run_online(flows, 150, 30, 0.1, RngSpec(71, 0))
+        slow_dual = static_dual_iteration(flows, 30, 0.1, 150)
+        assert len(calls) == 300
+        for name in ("s_star", "arrivals", "delivered", "nu_hat", "schedule_value"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+        for name in ("s_star", "mu_star", "nu_hat"):
+            assert np.array_equal(getattr(fast_dual, name), getattr(slow_dual, name)), name
 
     def test_plateau_ties_pick_fewest_slots(self):
         flows = [flow(0), flow(1)]
@@ -255,9 +354,19 @@ class TestFlowSpec:
         assert draws <= {0, 1}
 
     def test_rate_above_batches_rejected(self):
-        gen = np.random.default_rng(10)
-        with pytest.raises(ConfigError):
-            flow(0, lam=20.0).sample_arrivals(10, gen)
+        with pytest.raises(ConfigError, match="exceeds 10 Bernoulli batches"):
+            flow(0, lam=20.0).check_arrivals(10)
+        with pytest.raises(ConfigError, match="exceeds 3 Bernoulli batches"):
+            flow(0, lam=4.0, arrival_batches=3).check_arrivals(10)
+        flow(0, lam=10.0).check_arrivals(10)
+        flow(0, lam=20.0, arrival_process="poisson").check_arrivals(10)
+        # checked once, before the first frame draws anything
+        with pytest.raises(ConfigError, match="exceeds"):
+            run_online([flow(0), flow(1, lam=20.0)], 5, 10, 0.1, RngSpec(1, 0))
+
+    def test_batches_on_poisson_flow_rejected(self):
+        with pytest.raises(ConfigError, match="only to bernoulli"):
+            flow(0, arrival_process="poisson", arrival_batches=4).check_arrivals(10)
 
     def test_poisson_arrivals(self):
         gen = np.random.default_rng(11)

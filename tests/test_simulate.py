@@ -187,6 +187,24 @@ class TestEngineAgreement:
             )
             assert (whole.samples == pieces.samples).all(), chunk
 
+    def test_default_chunk_fits_the_memory_budget(self, monkeypatch):
+        from adaptnc import simulate
+
+        sizes = []
+
+        def record(k_vec, horizon, backlog, erasures, seed, streams):
+            assert list(streams) == list(range(sum(sizes), sum(sizes) + len(streams)))
+            sizes.append(len(streams))
+            return np.zeros(len(streams), dtype=np.int64)
+
+        monkeypatch.setattr(simulate, "_batch_delivered", record)
+        ch = ChannelModel.homogeneous(0.3, 20)
+        policy = OptimalPolicy(fixed_table([0] + [1] * 100, ch))
+        monte_carlo_throughput(policy, 100, 100, ch, 70_000, RngSpec(9, 0))
+        # about 10 bytes per (slot, receiver) of each replication in a chunk
+        assert all(size * 10 * 101 * 20 <= simulate._CHUNK_BYTES for size in sizes)
+        assert len(sizes) > 1 and sum(sizes) == 70_000
+
     def test_mid_frame_zero_block_is_rejected(self):
         ch = ChannelModel.homogeneous(0.5, 1)
         table = fixed_table([0, 1, 0, 1], ch)  # plans an empty block at t=2
