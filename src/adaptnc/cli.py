@@ -3,9 +3,12 @@
 Every command reads one YAML config (plus optional --seed/--out overrides),
 writes plain CSV files and a run manifest into the output directory, and is
 deterministic given (config, seed). Exit codes: 0 success, 2 bad
-configuration, 3 a runtime invariant check failed or the decode table or
-solver hit a floating-point overflow, division by zero or invalid value (a
-bug signal, never silenced). A solve writes nothing when its checks fail.
+configuration or an output path that cannot be written, 3 a runtime
+invariant check failed or the decode table or solver hit a floating-point
+overflow, division by zero or invalid value (a bug signal, never silenced).
+Each command computes and checks its whole result before anything is
+written: a run that exits 3, or 2 on a bad config, writes nothing, and so
+does one whose output directory cannot be made.
 
 CSV schemas (schema version 1):
   solve.csv      t, k_star, k_greedy, value
@@ -14,7 +17,6 @@ CSV schemas (schema version 1):
   multiflow.csv  frame, flow, s_star, arrivals, delivered, nu_hat
   region.csv     grid_x, grid_y, stable_nc, stable_retx
   threshold.csv  t, receivers, eps_star
-  trace CSV (FrameTrace.write_csv)  slot, state_t, block_id, receiver_id, received_bit
 """
 
 import argparse
@@ -32,19 +34,16 @@ from .errors import ConfigError, InvariantViolation
 from .multiflow import rate_region_sweep, run_online
 from .policies import LearningPolicy, OptimalPolicy, make_policy
 from .rng import RngSpec
-from .simulate import learning_run, monte_carlo_throughput, simulate_frame
+from .simulate import learning_run, monte_carlo_throughput
 from .solver import retransmission_threshold, solve_monotone
 
 SCHEMA_VERSION = 1
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    path = Path(config.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_manifest(config: ExperimentConfig, out: Path, files: list):
+def _write_outputs(config: ExperimentConfig, files: dict, lines: list):
+    """Write a finished run: each CSV, the manifest and the resolved config
+    into the output directory, then print the command's summary lines."""
+    out = Path(config.out)
     manifest = {
         "command": config.kind,
         "schema_version": SCHEMA_VERSION,
@@ -55,14 +54,30 @@ def _write_manifest(config: ExperimentConfig, out: Path, files: list):
         "python_version": sys.version.split()[0],
         "files": sorted(files),
     }
-    with open(out / "run_manifest.json", "w", encoding="utf-8") as fp:
-        json.dump(manifest, fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    with open(out / "config.yaml", "w", encoding="utf-8") as fp:
-        fp.write(serialize_config(config))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in files.items():
+            with open(out / name, "w", newline="", encoding="utf-8") as fp:
+                writer = csv.writer(fp)
+                writer.writerow(header)
+                writer.writerows(rows)
+        with open(out / "run_manifest.json", "w", encoding="utf-8") as fp:
+            json.dump(manifest, fp, indent=2, sort_keys=True)
+            fp.write("\n")
+        with open(out / "config.yaml", "w", encoding="utf-8") as fp:
+            fp.write(serialize_config(config))
+    except OSError as exc:
+        raise ConfigError(f"cannot write output to {out}: {exc}") from exc
+    for line in lines:
+        print(line)
 
 
-def cmd_solve(config: ExperimentConfig, workers: int = 1) -> int:
+# Each command computes and checks its whole result, then returns its files,
+# {name: (header, rows)}, and the summary lines printed after they are
+# written. Cells are Python scalars, so csv writes every float as its repr.
+
+
+def cmd_solve(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
     channel = config.channel.to_model()
     table = solve_monotone(config.horizon, channel)
     k = table.k_star
@@ -84,12 +99,12 @@ def cmd_solve(config: ExperimentConfig, workers: int = 1) -> int:
         print(f"{name}: {'ok' if ok else 'VIOLATED'}")
     if not all(checks.values()):
         raise InvariantViolation("solved table violates a structural property")
-    out = _out_dir(config)
-    with open(out / "solve.csv", "w", newline="", encoding="utf-8") as fp:
-        table.write_csv(fp)
-    _write_manifest(config, out, ["solve.csv"])
-    print(f"solved horizon {config.horizon} for {channel.n_receivers} receivers -> {out/'solve.csv'}")
-    return 0
+    rows = zip(t.tolist(), k.tolist(), table.k_greedy.tolist(), table.value.tolist())
+    path = Path(config.out) / "solve.csv"
+    return (
+        {"solve.csv": (("t", "k_star", "k_greedy", "value"), rows)},
+        [f"solved horizon {config.horizon} for {channel.n_receivers} receivers -> {path}"],
+    )
 
 
 def _simulate_cell(args):
@@ -102,7 +117,7 @@ def _simulate_cell(args):
     return eps, kind, summary.mean, summary.stderr
 
 
-def cmd_simulate(config: ExperimentConfig, workers: int = 1) -> int:
+def cmd_simulate(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
     receivers = config.channel.n_receivers
     backlog = config.backlog if config.backlog is not None else config.horizon
     params = {
@@ -123,19 +138,13 @@ def cmd_simulate(config: ExperimentConfig, workers: int = 1) -> int:
             rows = list(pool.map(_simulate_cell, jobs))
     else:
         rows = [_simulate_cell(job) for job in jobs]
-
-    out = _out_dir(config)
-    with open(out / "simulate.csv", "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["epsilon", "policy", "mean", "stderr"])
-        for eps, kind, mean, stderr in rows:
-            writer.writerow([repr(float(eps)), kind, repr(mean), repr(stderr)])
-    _write_manifest(config, out, ["simulate.csv"])
-    print(f"simulated {len(jobs)} (epsilon, policy) cells x {config.replications} replications")
-    return 0
+    return (
+        {"simulate.csv": (("epsilon", "policy", "mean", "stderr"), rows)},
+        [f"simulated {len(jobs)} (epsilon, policy) cells x {config.replications} replications"],
+    )
 
 
-def cmd_learn(config: ExperimentConfig, workers: int = 1) -> int:
+def cmd_learn(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
     channel = config.channel.to_model()
     backlog = config.backlog if config.backlog is not None else config.horizon
     policy = LearningPolicy(
@@ -152,69 +161,69 @@ def cmd_learn(config: ExperimentConfig, workers: int = 1) -> int:
         perfect, config.frames, config.horizon, channel, RngSpec(config.seed, 0), backlog
     )
 
-    out = _out_dir(config)
-    for name, recs, eps_col in (
-        ("learn.csv", records, None),
-        ("learn_perfect.csv", perfect_records, channel.worst_erasure()),
-    ):
-        with open(out / name, "w", newline="", encoding="utf-8") as fp:
-            writer = csv.writer(fp)
-            writer.writerow(["frame", "eps_hat", "delivered"])
-            for r in recs:
-                eps_hat = r["eps_hat"] if eps_col is None else eps_col
-                writer.writerow([r["frame"], repr(float(eps_hat)), r["delivered"]])
-
     half = config.frames // 2
     mean_learn = float(np.mean([r["delivered"] for r in records[half:]]))
     mean_perfect = float(np.mean([r["delivered"] for r in perfect_records[half:]]))
-    print(f"eps_hat final: {records[-1]['eps_hat']:.4f}")
-    print(f"late-run throughput: learning {mean_learn:.4f}, perfect-info {mean_perfect:.4f}")
-    _write_manifest(config, out, ["learn.csv", "learn_perfect.csv"])
-    return 0
-
-
-def cmd_multiflow(config: ExperimentConfig, workers: int = 1) -> int:
-    out = _out_dir(config)
-    flows = [f.to_spec() for f in config.flows]
-    if not flows:
-        with open(out / "multiflow.csv", "w", newline="", encoding="utf-8") as fp:
-            csv.writer(fp).writerow(["frame", "flow", "s_star", "arrivals", "delivered", "nu_hat"])
-        _write_manifest(config, out, ["multiflow.csv"])
-        print("no flows configured; wrote empty trace")
-        return 0
-    trace = run_online(
-        flows, config.frames, config.horizon, config.rho, RngSpec(config.seed, 0),
-        intra=config.intra,
+    header = ("frame", "eps_hat", "delivered")
+    # the perfect-information run reports the true worst-case erasure rate
+    eps = channel.worst_erasure()
+    return (
+        {
+            "learn.csv": (header, ((r["frame"], r["eps_hat"], r["delivered"]) for r in records)),
+            "learn_perfect.csv": (
+                header, ((r["frame"], eps, r["delivered"]) for r in perfect_records)
+            ),
+        },
+        [
+            f"eps_hat final: {records[-1]['eps_hat']:.4f}",
+            f"late-run throughput: learning {mean_learn:.4f}, perfect-info {mean_perfect:.4f}",
+        ],
     )
-    with open(out / "multiflow.csv", "w", newline="", encoding="utf-8") as fp:
-        trace.write_csv(fp)
+
+
+def cmd_multiflow(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
+    trace = run_online(
+        [f.to_spec() for f in config.flows], config.frames, config.horizon, config.rho,
+        RngSpec(config.seed, 0), intra=config.intra,
+    )
+    # one frame's cells at a time, so the trace is not held twice
+    rows = (
+        (k, *cells)
+        for k, frame in enumerate(zip(trace.s_star, trace.arrivals, trace.delivered, trace.nu_hat))
+        for cells in zip(trace.flow_ids, *(a.tolist() for a in frame))
+    )
     ratios = trace.delivery_ratio()
     slopes = trace.deficit_slopes()
-    for i, fid in enumerate(trace.flow_ids):
-        print(f"flow {fid}: delivery ratio {ratios[i]:.4f}, deficit slope {slopes[i]:+.6f}/frame")
-    print(f"weighted throughput: {trace.weighted_throughput(tail=0.5):.4f} "
-          f"(schedule value {trace.schedule_weighted_throughput(tail=0.5):.4f})")
-    _write_manifest(config, out, ["multiflow.csv"])
-    return 0
+    lines = [
+        f"flow {fid}: delivery ratio {ratios[i]:.4f}, deficit slope {slopes[i]:+.6f}/frame"
+        for i, fid in enumerate(trace.flow_ids)
+    ]
+    lines.append(f"weighted throughput: {trace.weighted_throughput(tail=0.5):.4f} "
+                 f"(schedule value {trace.schedule_weighted_throughput(tail=0.5):.4f})")
+    header = ("frame", "flow", "s_star", "arrivals", "delivered", "nu_hat")
+    return {"multiflow.csv": (header, rows)}, lines
 
 
-def cmd_region(config: ExperimentConfig, workers: int = 1) -> int:
-    flows = [f.to_spec() for f in config.flows]
+def cmd_region(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
     region = rate_region_sweep(
-        flows, config.grid, config.horizon, config.rho, config.frames,
-        RngSpec(config.seed, 0), axis=config.axis, workers=workers,
+        [f.to_spec() for f in config.flows], config.grid, config.horizon, config.rho,
+        config.frames, RngSpec(config.seed, 0), axis=config.axis, workers=workers,
     )
-    out = _out_dir(config)
-    with open(out / "region.csv", "w", newline="", encoding="utf-8") as fp:
-        region.write_csv(fp)
-    nc, rx = int(region.stable_nc.sum()), int(region.stable_retx.sum())
-    print(f"stable cells: coded {nc}/{region.stable_nc.size}, retransmission {rx}/{region.stable_retx.size}")
-    _write_manifest(config, out, ["region.csv"])
-    return 0
+    nc, rx = region.stable_nc.astype(int).tolist(), region.stable_retx.astype(int).tolist()
+    rows = (
+        (x, y, nc[ix][iy], rx[ix][iy])
+        for ix, x in enumerate(region.grid_x.tolist())
+        for iy, y in enumerate(region.grid_y.tolist())
+    )
+    size = region.stable_nc.size
+    return (
+        {"region.csv": (("grid_x", "grid_y", "stable_nc", "stable_retx"), rows)},
+        [f"stable cells: coded {region.stable_nc.sum()}/{size}, "
+         f"retransmission {region.stable_retx.sum()}/{size}"],
+    )
 
 
-def cmd_threshold(config: ExperimentConfig, workers: int = 1) -> int:
-    print("t=1 rows skipped: a single slot fits only one packet, no threshold exists")
+def cmd_threshold(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
     rows = []
     for t in range(2, config.t_max + 1):
         for n in range(1, config.receivers_max + 1):
@@ -229,16 +238,14 @@ def cmd_threshold(config: ExperimentConfig, workers: int = 1) -> int:
         raise InvariantViolation("threshold failed to increase with the horizon")
     if not all((np.diff(v) < 0).all() for v in by_t.values()):
         raise InvariantViolation("threshold failed to decrease with the receiver count")
-
-    out = _out_dir(config)
-    with open(out / "threshold.csv", "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["t", "receivers", "eps_star"])
-        for t, n, eps in rows:
-            writer.writerow([t, n, repr(eps)])
-    _write_manifest(config, out, ["threshold.csv"])
-    print(f"tabulated {len(rows)} thresholds (t in 2..{config.t_max}, receivers in 1..{config.receivers_max})")
-    return 0
+    return (
+        {"threshold.csv": (("t", "receivers", "eps_star"), rows)},
+        [
+            "t=1 rows skipped: a single slot fits only one packet, no threshold exists",
+            f"tabulated {len(rows)} thresholds (t in 2..{config.t_max}, "
+            f"receivers in 1..{config.receivers_max})",
+        ],
+    )
 
 
 _COMMANDS = {
@@ -284,7 +291,9 @@ def main(argv=None) -> int:
             config = replace(config, **overrides)
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
-        return _COMMANDS[args.command](config, workers=args.workers)
+        files, lines = _COMMANDS[args.command](config, workers=args.workers)
+        _write_outputs(config, files, lines)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -90,7 +90,8 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """One flow of a multi-flow experiment."""
+    """One flow of a multi-flow experiment; its ranges are FlowSpec's,
+    checked when the experiment builds it with to_spec()."""
 
     flow_id: int
     channel: ChannelConfig
@@ -103,16 +104,6 @@ class FlowConfig:
     def __post_init__(self):
         if isinstance(self.channel, dict):
             object.__setattr__(self, "channel", ChannelConfig(**self.channel))
-        _require(self.arrival_rate >= 0, f"flows[{self.flow_id}].arrival_rate must be >= 0")
-        _require(
-            0.0 <= self.delivery_ratio <= 1.0,
-            f"flows[{self.flow_id}].delivery_ratio must lie in [0, 1]",
-        )
-        _require(self.weight > 0, f"flows[{self.flow_id}].weight must be > 0")
-        _require(
-            self.arrival_process in ("bernoulli", "poisson"),
-            f"flows[{self.flow_id}].arrival_process must be bernoulli or poisson",
-        )
 
     def to_spec(self) -> FlowSpec:
         return FlowSpec(
@@ -174,6 +165,8 @@ class ExperimentConfig:
         _require(self.axis in ("delivery_ratio", "arrival_rate"),
                  "axis must be delivery_ratio or arrival_rate")
         _require(self.backlog is None or self.backlog >= 0, "backlog must be >= 0")
+        # every flow, whatever the kind, must make a valid FlowSpec
+        specs = [f.to_spec() for f in self.flows]
 
         if self.kind in ("solve", "simulate", "learn"):
             _require(self.channel is not None, f"{self.kind} requires a channel section")
@@ -205,7 +198,6 @@ class ExperimentConfig:
             _require(len(set(ids)) == len(ids), "flows must have unique flow_id values")
             # the flows as they will run: a region sweep runs every grid value
             # on its axis in place of the template's own
-            specs = [f.to_spec() for f in self.flows]
             if self.kind == "region":
                 specs = [replace(s, **{self.axis: v}) for s in specs for v in self.grid]
             for spec in specs:

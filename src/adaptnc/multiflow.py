@@ -11,7 +11,6 @@ arrivals, and per-frame packet drops: traffic not delivered within its frame
 is lost, never queued.
 """
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -313,16 +312,6 @@ class MultiflowTrace:
     def is_stable(self, slope_tol: float = STABILITY_SLOPE) -> bool:
         return bool((self.deficit_slopes() <= slope_tol).all())
 
-    def write_csv(self, fp):
-        writer = csv.writer(fp)
-        writer.writerow(["frame", "flow", "s_star", "arrivals", "delivered", "nu_hat"])
-        for k in range(self.frames):
-            for i, fid in enumerate(self.flow_ids):
-                writer.writerow(
-                    [k, fid, int(self.s_star[k, i]), int(self.arrivals[k, i]),
-                     int(self.delivered[k, i]), repr(float(self.nu_hat[k, i]))]
-                )
-
 
 def run_online(
     flows: list,
@@ -413,16 +402,6 @@ class RegionMap:
     grid_y: np.ndarray  # values applied to the second flow
     stable_nc: np.ndarray  # (len(grid_x), len(grid_y)) bool
     stable_retx: np.ndarray
-
-    def write_csv(self, fp):
-        writer = csv.writer(fp)
-        writer.writerow(["grid_x", "grid_y", "stable_nc", "stable_retx"])
-        for ix, x in enumerate(self.grid_x):
-            for iy, y in enumerate(self.grid_y):
-                writer.writerow(
-                    [repr(float(x)), repr(float(y)),
-                     int(self.stable_nc[ix, iy]), int(self.stable_retx[ix, iy])]
-                )
 
 
 def _sweep_cell(args):

@@ -8,7 +8,6 @@ exploit. All channel randomness flows through RngSpec so the replication
 order never matters.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +33,6 @@ class FrameTrace:
 
     def slots_used(self) -> int:
         return len(self.slot_state)
-
-    def write_csv(self, fp):
-        writer = csv.writer(fp)
-        writer.writerow(["slot", "state_t", "block_id", "receiver_id", "received_bit"])
-        for s in range(len(self.slot_state)):
-            for i in range(self.slot_log.shape[1]):
-                writer.writerow(
-                    [s, int(self.slot_state[s]), int(self.slot_block[s]), i,
-                     int(self.slot_log[s, i])]
-                )
 
 
 def simulate_frame(
@@ -113,18 +102,6 @@ def simulate_frame(
         blocks_completed=completed,
         blocks_abandoned_at_deadline=abandoned,
     )
-
-
-def rescore_trace(trace: FrameTrace) -> int:
-    """Recompute delivered packets from the raw trace, independently of the
-    engine's bookkeeping: credit a block only when every receiver reached its
-    size within the slots attributed to it."""
-    delivered = 0
-    for block_id, (_, k) in enumerate(trace.decisions):
-        rows = trace.slot_log[trace.slot_block == block_id]
-        if rows.size and (rows.sum(axis=0) >= k).all():
-            delivered += k
-    return delivered
 
 
 @dataclass
@@ -279,36 +256,3 @@ def learning_run(
         )
     return records
 
-
-def variance_tradeoff_run(
-    sigma2_grid,
-    channel: ChannelModel,
-    horizon: int,
-    replications: int,
-    rng: RngSpec,
-) -> list[dict]:
-    """Throughput/jitter frontier across completion-variance budgets.
-
-    Each budget is simulated with the same replication streams, so rows are
-    directly comparable. Returns one dict per budget with the applied block
-    cap and the empirical mean and variance of delivered packets.
-    """
-    from .policies import VarianceConstrainedPolicy
-
-    out = []
-    for sigma2 in sigma2_grid:
-        pol = VarianceConstrainedPolicy(channel, horizon, float(sigma2))
-        summary = monte_carlo_throughput(
-            pol, horizon, backlog=horizon, channel=channel,
-            replications=replications, rng=rng,
-        )
-        out.append(
-            {
-                "sigma2": float(sigma2),
-                "k_cap": pol.k_cap,
-                "mean": summary.mean,
-                "stderr": summary.stderr,
-                "variance": summary.variance,
-            }
-        )
-    return out

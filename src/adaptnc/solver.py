@@ -12,7 +12,6 @@ monotone structure of the optimum (the optimal block size never shrinks as
 the deadline recedes, and never exceeds the single-shot greedy choice).
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +47,6 @@ class PolicyTable:
 
     def decision(self, slots_left: int) -> int:
         return int(self.k_star[slots_left])
-
-    def write_csv(self, fp):
-        writer = csv.writer(fp)
-        writer.writerow(["t", "k_star", "k_greedy", "value"])
-        for t in range(self.horizon + 1):
-            writer.writerow(
-                [t, int(self.k_star[t]), int(self.k_greedy[t]), repr(float(self.value[t]))]
-            )
 
 
 def _cap_vector(k_cap, horizon: int):
@@ -153,16 +144,6 @@ def solve_monotone(horizon: int, channel: ChannelModel, k_cap=None) -> PolicyTab
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     return _solve(channel, horizon, k_cap, windowed=True)
-
-
-def greedy_block_size(t: int, channel: ChannelModel, k_cap: int | None = None) -> int:
-    """Block size maximizing the single-shot reward k * decode_prob(k, t)."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    table = DecodingTable(channel, t)
-    bound = max(1, min(t, k_cap)) if k_cap is not None else t
-    row = table.values[:, t]
-    return argmax_unimodal(lambda k: k * row[k], 1, bound)
 
 
 def conservative_block_size(t: int, channel: ChannelModel, tol: float = 1e-9) -> int:

@@ -15,10 +15,14 @@ from adaptnc import (
     ConfigError,
     ExperimentConfig,
     FlowConfig,
+    InvariantViolation,
     PolicyConfig,
+    RngSpec,
     config_digest,
     load_config,
     parse_config,
+    rate_region_sweep,
+    run_online,
     serialize_config,
     solve_monotone,
 )
@@ -173,6 +177,27 @@ class TestConfigValidation:
         ExperimentConfig(kind="multiflow", horizon=6,
                          flows=flows(arrival_rate=9.0, arrival_process="poisson"))
 
+    def test_flow_ranges_apply_to_every_kind(self):
+        def flows(**kw):
+            return [{"flow_id": 0, "channel": {"receivers": 2, "erasure": 0.3},
+                     "arrival_rate": 1.0, **kw}]
+
+        cases = [
+            (dict(kind="multiflow", flows=flows(weight=0)), "weight must be > 0"),
+            (dict(kind="multiflow", flows=flows(arrival_rate=-1.0)), "arrival rate must be >= 0"),
+            (dict(kind="multiflow", flows=flows(arrival_process="burst")),
+             "unknown arrival process"),
+            (dict(kind="multiflow", flows=flows(arrival_batches=0)),
+             "arrival batches must be >= 1"),
+            # flows a command never runs still have to be valid flows
+            (dict(kind="solve", channel={"receivers": 5, "erasure": 0.2},
+                  flows=flows(delivery_ratio=1.5)), "delivery ratio must be in"),
+            (dict(kind="threshold", flows=flows(weight=-1.0)), "weight must be > 0"),
+        ]
+        for fields, needle in cases:
+            with pytest.raises(ConfigError, match=needle):
+                ExperimentConfig(**fields)
+
     def test_generic_field_ranges(self):
         base = dict(kind="multiflow")
         for bad in (
@@ -290,6 +315,20 @@ class TestCliSolve:
         manifest = json.loads((override / "run_manifest.json").read_text())
         assert manifest["config_sha256"] == config_digest(stored)
         assert manifest["config_sha256"] != config_digest(cfg)
+
+    def test_csv_cells_match_the_solved_table(self, tmp_path):
+        path, _ = write_config(
+            tmp_path, out=str(tmp_path / "run"), kind="solve", horizon=4,
+            channel={"receivers": 1, "erasure": 0.5},
+        )
+        assert cli.main(["solve", "--config", str(path)]) == 0
+        table = solve_monotone(4, ChannelModel.homogeneous(0.5, 1))
+        lines = read_csv_lines(tmp_path / "run" / "solve.csv")
+        assert lines[0] == "t,k_star,k_greedy,value"
+        assert lines[1:] == [
+            f"{t},{table.k_star[t]},{table.k_greedy[t]},{float(table.value[t])!r}"
+            for t in range(5)
+        ]
 
     def test_long_horizon_solve_passes_every_check(self, tmp_path, capsys):
         # (1 - e)**k falls below the smallest double long before k = 2000,
@@ -438,6 +477,23 @@ class TestCliMultiflow:
         stdout = capsys.readouterr().out
         assert "delivery ratio" in stdout and "weighted throughput" in stdout
 
+    def test_csv_rows_match_the_online_trace(self, tmp_path):
+        path, cfg = write_config(
+            tmp_path, kind="multiflow", seed=50, horizon=10, frames=20,
+            flows=self.FLOWS, out=str(tmp_path / "run"),
+        )
+        assert cli.main(["multiflow", "--config", str(path)]) == 0
+        trace = run_online([f.to_spec() for f in cfg.flows], 20, 10, cfg.rho, RngSpec(50, 0))
+        assert trace.nu_hat.any()
+        lines = read_csv_lines(tmp_path / "run" / "multiflow.csv")
+        assert lines[0] == "frame,flow,s_star,arrivals,delivered,nu_hat"
+        assert lines[1:] == [
+            f"{k},{fid},{trace.s_star[k, i]},{trace.arrivals[k, i]},"
+            f"{trace.delivered[k, i]},{float(trace.nu_hat[k, i])!r}"
+            for k in range(20)
+            for i, fid in enumerate(trace.flow_ids)
+        ]
+
     def test_zero_flows_writes_header_only(self, tmp_path):
         path, _ = write_config(
             tmp_path, kind="multiflow", flows=[], out=str(tmp_path / "run")
@@ -479,6 +535,22 @@ class TestCliRegion:
             assert nc in ("0", "1") and rx in ("0", "1")
         assert "stable cells" in capsys.readouterr().out
         assert self.run(tmp_path, "b", extra=["--workers", "2"]) == serial
+
+    def test_csv_rows_match_the_sweep(self, tmp_path):
+        path, cfg = write_config(
+            tmp_path, out=str(tmp_path / "run"), **{**self.FIELDS, "frames": 50}
+        )
+        assert cli.main(["region", "--config", str(path)]) == 0
+        m = rate_region_sweep(
+            [f.to_spec() for f in cfg.flows], cfg.grid, 10, cfg.rho, 50, RngSpec(52, 0)
+        )
+        lines = read_csv_lines(tmp_path / "run" / "region.csv")
+        assert lines[0] == "grid_x,grid_y,stable_nc,stable_retx"
+        assert lines[1:] == [
+            f"{x!r},{y!r},{int(m.stable_nc[ix, iy])},{int(m.stable_retx[ix, iy])}"
+            for ix, x in enumerate(cfg.grid)
+            for iy, y in enumerate(cfg.grid)
+        ]
 
 
 class TestCliThreshold:
@@ -551,6 +623,15 @@ class TestCliErrorPaths:
         assert "exceeds 10 Bernoulli batches" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n", encoding="utf-8")
+        path, _ = write_config(tmp_path, out=str(tmp_path / "run"), **SOLVE_FIELDS)
+        assert cli.main(["solve", "--config", str(path), "--out", str(blocker / "x")]) == 2
+        assert "config error: cannot write output" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+        assert not (tmp_path / "run").exists()
+
     def test_nonpositive_workers(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, out=str(tmp_path / "run"), **SOLVE_FIELDS)
         assert cli.main(["solve", "--config", str(path), "--workers", "0"]) == 2
@@ -561,3 +642,30 @@ class TestCliErrorPaths:
             cli.main([])
         with pytest.raises(SystemExit):
             cli.main(["solve"])
+
+
+class TestCliFailureWritesNothing:
+    RUNS = [
+        ("solve", "solve_monotone", SOLVE_FIELDS),
+        ("simulate", "monte_carlo_throughput", TestCliSimulate.FIELDS),
+        ("learn", "learning_run", dict(
+            kind="learn", horizon=6, frames=12, channel={"receivers": 4, "erasure": 0.3},
+            policy={"kind": "learning"},
+        )),
+        ("multiflow", "run_online", dict(kind="multiflow", frames=50, flows=TestCliMultiflow.FLOWS)),
+        ("region", "rate_region_sweep", TestCliRegion.FIELDS),
+        ("threshold", "retransmission_threshold", dict(kind="threshold", t_max=6, receivers_max=3)),
+    ]
+
+    @pytest.mark.parametrize("command, call, fields", RUNS, ids=[r[0] for r in RUNS])
+    def test_exits_3_without_an_output_directory(
+        self, tmp_path, monkeypatch, capsys, command, call, fields
+    ):
+        def broken(*args, **kwargs):
+            raise InvariantViolation(f"{call} failed")
+
+        monkeypatch.setattr(cli, call, broken)
+        path, _ = write_config(tmp_path, out=str(tmp_path / "run"), **fields)
+        assert cli.main([command, "--config", str(path)]) == 3
+        assert f"invariant violation: {call} failed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

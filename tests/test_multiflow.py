@@ -2,7 +2,6 @@
 against an exact enumeration oracle, deficit bookkeeping, the deterministic
 multiplier iteration, the online loop, and the stability-region sweep."""
 
-import io
 import itertools
 
 import numpy as np
@@ -478,15 +477,6 @@ class TestRunOnline:
         values = service_curve(flow(0), 10).values
         assert np.allclose(trace.schedule_value, values[trace.s_star])
 
-    def test_write_csv_schema(self):
-        flows = [flow(0), flow(1)]
-        trace = run_online(flows, 7, 10, 0.1, RngSpec(50, 0))
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "frame,flow,s_star,arrivals,delivered,nu_hat"
-        assert len(lines) == 1 + 7 * 2
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             run_online([flow(0), flow(0)], 10, 10, 0.1, RngSpec(1, 0))
@@ -527,15 +517,6 @@ class TestRateRegionSweep:
         )
         assert np.array_equal(serial.stable_nc, pooled.stable_nc)
         assert np.array_equal(serial.stable_retx, pooled.stable_retx)
-
-    def test_write_csv_schema(self):
-        flows = [flow(i, lam=3.0, q=0.8) for i in range(2)]
-        m = rate_region_sweep(flows, [0.01, 0.98], 10, 0.1, 50, RngSpec(52, 0))
-        buf = io.StringIO()
-        m.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "grid_x,grid_y,stable_nc,stable_retx"
-        assert len(lines) == 1 + 4
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -2,8 +2,6 @@
 deterministic channels, bit-level agreement between the per-slot engine and
 the batched engine, and Monte Carlo consistency with the planner's value."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -14,13 +12,12 @@ from adaptnc import (
     PolicyTable,
     RetransmissionPolicy,
     RngSpec,
+    VarianceConstrainedPolicy,
     frame_bits,
     learning_run,
     monte_carlo_throughput,
-    rescore_trace,
     simulate_frame,
     solve_monotone,
-    variance_tradeoff_run,
 )
 
 
@@ -34,6 +31,41 @@ def fixed_table(k_star, channel, horizon=None):
         k_greedy=k.copy(),
         value=np.zeros(len(k)),
     )
+
+
+def rescore_trace(trace) -> int:
+    """Recompute delivered packets from the raw trace, independently of the
+    engine's bookkeeping: credit a block only when every receiver reached its
+    size within the slots attributed to it."""
+    delivered = 0
+    for block_id, (_, k) in enumerate(trace.decisions):
+        rows = trace.slot_log[trace.slot_block == block_id]
+        if rows.size and (rows.sum(axis=0) >= k).all():
+            delivered += k
+    return delivered
+
+
+def variance_tradeoff_run(sigma2_grid, channel, horizon, replications, rng) -> list[dict]:
+    """Throughput/jitter frontier across completion-variance budgets, each
+    budget on the same replication streams: one dict per budget with the
+    applied block cap and the empirical mean and variance delivered."""
+    out = []
+    for sigma2 in sigma2_grid:
+        pol = VarianceConstrainedPolicy(channel, horizon, float(sigma2))
+        summary = monte_carlo_throughput(
+            pol, horizon, backlog=horizon, channel=channel,
+            replications=replications, rng=rng,
+        )
+        out.append(
+            {
+                "sigma2": float(sigma2),
+                "k_cap": pol.k_cap,
+                "mean": summary.mean,
+                "stderr": summary.stderr,
+                "variance": summary.variance,
+            }
+        )
+    return out
 
 
 class TestRngSpec:
@@ -146,15 +178,6 @@ class TestTraceBookkeeping:
         assert trace.slot_state.tolist() == list(range(9, 9 - used, -1))
         assert trace.slot_block.shape == (used,)
         assert trace.slot_log.shape == (used, 2)
-
-    def test_csv_schema(self):
-        ch = ChannelModel.homogeneous(0.3, 2)
-        trace = simulate_frame(OptimalPolicy(solve_monotone(4, ch)), 4, 9, ch, RngSpec(3, 0))
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "slot,state_t,block_id,receiver_id,received_bit"
-        assert len(lines) == 1 + trace.slots_used() * ch.n_receivers
 
 
 class TestEngineAgreement:
