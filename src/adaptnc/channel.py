@@ -6,6 +6,14 @@ independently with probability ``erasures[i]``, independently across slots.
 
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
+
+def check_receivers(n_receivers: int):
+    """A channel has at least one receiver."""
+    if not n_receivers >= 1:
+        raise ConfigError(f"receivers must be >= 1, got {n_receivers}")
+
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -14,27 +22,21 @@ class ChannelModel:
     erasures: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.erasures) == 0:
-            raise ValueError("channel needs at least one receiver")
         object.__setattr__(self, "erasures", tuple(float(e) for e in self.erasures))
+        check_receivers(len(self.erasures))
         for i, e in enumerate(self.erasures):
             if not 0.0 <= e <= 1.0:
-                raise ValueError(f"erasure probability {e} of receiver {i} outside [0, 1]")
+                raise ConfigError(f"erasure probability {e} of receiver {i} outside [0, 1]")
 
     @classmethod
     def homogeneous(cls, erasure: float, n_receivers: int) -> "ChannelModel":
         """Channel with ``n_receivers`` identical erasure probabilities."""
-        if n_receivers < 1:
-            raise ValueError("n_receivers must be at least 1")
+        check_receivers(n_receivers)
         return cls((float(erasure),) * n_receivers)
 
     @property
     def n_receivers(self) -> int:
         return len(self.erasures)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(set(self.erasures)) == 1
 
     def worst_erasure(self) -> float:
         return max(self.erasures)

@@ -2,21 +2,29 @@
 
 Configs are YAML mappings with nested sections. Every field is validated on
 construction and errors name the offending field, so a bad file fails before
-any computation starts. parse_config(serialize_config(c)) == c holds for all
-valid configs, which keeps run manifests trustworthy.
+any computation starts. Value ranges come from the model classes: a section
+is checked by building its model objects (ChannelModel, FlowSpec) or by
+calling its model's own check (the policy parameters in policies.py), never
+by a copy here. This module checks only what the models cannot see: field
+types, the shape of each section, and cross-field context such as which
+sections a kind requires. parse_config(serialize_config(c)) == c holds for
+all valid configs, which keeps run manifests trustworthy.
 """
 
 import hashlib
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from types import NoneType, UnionType
+from typing import get_args, get_origin
 
 import yaml
 
-from .channel import ChannelModel
+from .channel import ChannelModel, check_receivers
 from .errors import ConfigError
-from .multiflow import FlowSpec
+from .multiflow import INTRA_POLICIES, SWEEP_AXES, FlowSpec
+from .policies import POLICY_KINDS, check_learning, check_sigma2
 
 EXPERIMENT_KINDS = ("solve", "simulate", "learn", "multiflow", "region", "threshold")
-POLICY_KINDS = ("optimal", "greedy", "conservative", "retransmission", "variance", "learning")
 
 
 def _require(cond: bool, message: str):
@@ -24,22 +32,77 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _checked(where: str, check, *args):
+    """Call a model constructor or check, naming the config field it checks."""
+    try:
+        return check(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _is_number(value) -> bool:
+    """An int or a finite float; a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_TYPE_CHECKS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _typed(name: str, value, hint):
+    """``value`` checked against the field annotation ``hint``.
+
+    A section must be a mapping, built here into its dataclass, and a list a
+    list, stored as a tuple with its numbers as floats. Scalars are stored as
+    given: an int field takes no bool or float, and a float field any finite
+    number, an int included. None passes only an optional field.
+    """
+    if get_origin(hint) is UnionType:  # X | None
+        if value is None:
+            return None
+        (hint,) = (a for a in get_args(hint) if a is not NoneType)
+    if is_dataclass(hint):
+        if isinstance(value, dict):
+            return hint(**value)
+        _require(isinstance(value, hint), f"{name} must be a mapping, got {value!r}")
+        return value
+    if get_origin(hint) is tuple:
+        _require(isinstance(value, (list, tuple)), f"{name} must be a list, got {value!r}")
+        item = get_args(hint)[0]
+        items = tuple(_typed(f"{name} entry", v, item) for v in value)
+        return tuple(float(v) for v in items) if item is float else items
+    noun, ok = _TYPE_CHECKS[hint]
+    _require(ok(value), f"{name} must be {noun}, got {value!r}")
+    return value
+
+
+def _check_types(section, prefix: str):
+    """Type-check every field of a config dataclass, in place."""
+    for f in fields(section):
+        value = _typed(prefix + f.name, getattr(section, f.name), f.type)
+        object.__setattr__(section, f.name, value)
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Channel section: homogeneous (erasure + receivers) or explicit list."""
+    """Channel section: homogeneous (erasure + receivers) or explicit list.
+    Only its shape is checked here; its ranges are ChannelModel's."""
 
     receivers: int | None = None
     erasure: float | None = None
-    erasures: tuple | None = None
+    erasures: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        _check_types(self, "channel.")
         if self.erasures is not None:
-            object.__setattr__(self, "erasures", tuple(float(e) for e in self.erasures))
-            _require(len(self.erasures) >= 1, "channel.erasures must not be empty")
-            _require(
-                all(0.0 <= e <= 1.0 for e in self.erasures),
-                "channel.erasures entries must lie in [0, 1]",
-            )
             _require(
                 self.erasure is None,
                 "channel: give either erasure or erasures, not both",
@@ -49,10 +112,7 @@ class ChannelConfig:
                 "channel.receivers contradicts the length of channel.erasures",
             )
         else:
-            if self.erasure is not None:
-                _require(0.0 <= self.erasure <= 1.0, "channel.erasure must lie in [0, 1]")
             _require(self.receivers is not None, "channel.receivers is required")
-            _require(self.receivers >= 1, "channel.receivers must be >= 1")
 
     def to_model(self) -> ChannelModel:
         if self.erasures is not None:
@@ -67,7 +127,8 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Policy section: which decision rule and its parameters."""
+    """Policy section: which decision rule and its parameters, checked by
+    the policies' own rules."""
 
     kind: str = "optimal"
     sigma2: float | None = None
@@ -75,17 +136,14 @@ class PolicyConfig:
     eps_init: float = 0.5
 
     def __post_init__(self):
+        _check_types(self, "policy.")
         _require(
             self.kind in POLICY_KINDS,
             f"policy.kind must be one of {', '.join(POLICY_KINDS)}",
         )
-        if self.kind == "variance":
-            _require(
-                self.sigma2 is not None and self.sigma2 > 0,
-                "policy.sigma2 must be > 0 for the variance policy",
-            )
-        _require(self.delta >= 0, "policy.delta must be >= 0")
-        _require(0.0 <= self.eps_init <= 1.0, "policy.eps_init must lie in [0, 1]")
+        if self.kind == "variance" or self.sigma2 is not None:
+            _checked("policy", check_sigma2, self.sigma2)
+        _checked("policy", check_learning, self.delta, self.eps_init)
 
 
 @dataclass(frozen=True)
@@ -102,13 +160,12 @@ class FlowConfig:
     arrival_batches: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.channel, dict):
-            object.__setattr__(self, "channel", ChannelConfig(**self.channel))
+        _check_types(self, "flows.")
 
     def to_spec(self) -> FlowSpec:
         return FlowSpec(
             flow_id=self.flow_id,
-            channel=self.channel.to_model(),
+            channel=_checked(f"flow {self.flow_id} channel", self.channel.to_model),
             arrival_rate=self.arrival_rate,
             delivery_ratio=self.delivery_ratio,
             weight=self.weight,
@@ -127,65 +184,57 @@ class ExperimentConfig:
     horizon: int = 10
     channel: ChannelConfig | None = None
     policy: PolicyConfig = field(default_factory=PolicyConfig)
-    policies: tuple = ("optimal", "greedy", "conservative", "retransmission")
-    epsilon_grid: tuple = ()
+    policies: tuple[str, ...] = ("optimal", "greedy", "conservative", "retransmission")
+    epsilon_grid: tuple[float, ...] = ()
     replications: int = 10000
     frames: int = 100
     backlog: int | None = None
     rho: float = 0.1
     intra: str = "optimal"
-    flows: tuple = ()
-    grid: tuple = ()
+    flows: tuple[FlowConfig, ...] = ()
+    grid: tuple[float, ...] = ()
     axis: str = "delivery_ratio"
     t_max: int = 30
     receivers_max: int = 10
 
     def __post_init__(self):
+        _check_types(self, "")
         _require(self.kind in EXPERIMENT_KINDS, f"kind must be one of {', '.join(EXPERIMENT_KINDS)}")
-        if isinstance(self.channel, dict):
-            object.__setattr__(self, "channel", ChannelConfig(**self.channel))
-        if isinstance(self.policy, dict):
-            object.__setattr__(self, "policy", PolicyConfig(**self.policy))
-        object.__setattr__(
-            self,
-            "flows",
-            tuple(FlowConfig(**f) if isinstance(f, dict) else f for f in self.flows),
-        )
-        object.__setattr__(self, "policies", tuple(self.policies))
-        object.__setattr__(self, "epsilon_grid", tuple(float(e) for e in self.epsilon_grid))
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
-
         _require(0 <= self.seed < 2**64, "seed must fit in 64 bits")
         _require(self.horizon >= 0, "horizon must be >= 0")
         _require(self.replications >= 1, "replications must be >= 1")
         _require(self.frames >= 1, "frames must be >= 1")
         _require(self.rho > 0, "rho must be > 0")
-        _require(self.intra in ("optimal", "retransmission"),
-                 "intra must be optimal or retransmission")
-        _require(self.axis in ("delivery_ratio", "arrival_rate"),
-                 "axis must be delivery_ratio or arrival_rate")
+        _require(self.intra in INTRA_POLICIES, f"intra must be one of {', '.join(INTRA_POLICIES)}")
+        _require(self.axis in SWEEP_AXES, f"axis must be one of {', '.join(SWEEP_AXES)}")
         _require(self.backlog is None or self.backlog >= 0, "backlog must be >= 0")
-        # every flow, whatever the kind, must make a valid FlowSpec
+        # every section, whatever the kind, must build valid model objects
         specs = [f.to_spec() for f in self.flows]
+        channel = self.channel
+        if channel is not None:
+            if channel.erasure is None and channel.erasures is None:
+                _checked("channel", check_receivers, channel.receivers)
+            else:
+                _checked("channel", channel.to_model)
 
         if self.kind in ("solve", "simulate", "learn"):
             _require(self.channel is not None, f"{self.kind} requires a channel section")
         if self.kind in ("solve", "learn"):
             _require(
-                self.channel.erasure is not None or self.channel.erasures is not None,
+                channel.erasure is not None or channel.erasures is not None,
                 f"{self.kind} requires channel.erasure (or channel.erasures)",
             )
         if self.kind == "simulate":
             _require(self.horizon >= 1, "simulate requires horizon >= 1")
             _require(len(self.epsilon_grid) >= 1, "simulate requires a non-empty epsilon_grid")
-            _require(
-                all(0.0 <= e <= 1.0 for e in self.epsilon_grid),
-                "epsilon_grid entries must lie in [0, 1]",
-            )
+            for eps in self.epsilon_grid:
+                _checked("epsilon_grid", ChannelModel.homogeneous, eps, channel.n_receivers)
             for p in self.policies:
                 _require(p in POLICY_KINDS, f"policies entry {p!r} is not a known policy kind")
+            if "variance" in self.policies:
+                _checked("policy", check_sigma2, self.policy.sigma2)
             _require(
-                self.channel.erasure is None and self.channel.erasures is None,
+                channel.erasure is None and channel.erasures is None,
                 "simulate takes its erasure rates from epsilon_grid: "
                 "give channel.receivers only, not channel.erasure or channel.erasures",
             )

@@ -11,7 +11,8 @@ arrivals, and per-frame packet drops: traffic not delivered within its frame
 is lost, never queued.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .simulate import simulate_frame
 from .solver import solve_monotone
 
 INTRA_POLICIES = ("optimal", "retransmission")
+SWEEP_AXES = ("delivery_ratio", "arrival_rate")
 
 # Slope of the deficit trajectory (per frame, least squares over the last
 # half of the run) above which a flow is declared unstable.
@@ -42,17 +44,17 @@ class FlowSpec:
     arrival_batches: int | None = None  # Bernoulli trials per frame; None -> horizon
 
     def __post_init__(self):
-        if self.arrival_rate < 0:
-            raise ConfigError(f"flow {self.flow_id}: arrival rate must be >= 0")
+        if not 0 <= self.arrival_rate < math.inf:
+            raise ConfigError(f"flow {self.flow_id}: arrival rate must be >= 0 and finite")
         if not 0.0 <= self.delivery_ratio <= 1.0:
             raise ConfigError(f"flow {self.flow_id}: delivery ratio must be in [0, 1]")
-        if self.weight <= 0:
-            raise ConfigError(f"flow {self.flow_id}: weight must be > 0")
+        if not 0 < self.weight < math.inf:
+            raise ConfigError(f"flow {self.flow_id}: weight must be > 0 and finite")
         if self.arrival_process not in ("bernoulli", "poisson"):
             raise ConfigError(
                 f"flow {self.flow_id}: unknown arrival process {self.arrival_process!r}"
             )
-        if self.arrival_batches is not None and self.arrival_batches < 1:
+        if self.arrival_batches is not None and not self.arrival_batches >= 1:
             raise ConfigError(f"flow {self.flow_id}: arrival batches must be >= 1")
 
     def check_arrivals(self, horizon: int):
@@ -78,27 +80,6 @@ class FlowSpec:
             return int(gen.poisson(self.arrival_rate))
         n = self.arrival_batches if self.arrival_batches is not None else horizon
         return int(gen.binomial(n, self.arrival_rate / n))
-
-
-@dataclass
-class DeficitState:
-    """Per-flow virtual queues for the delivery-ratio constraints.
-
-    ``nu_hat[f]`` rises by the thinned arrivals of flow f and falls by its
-    delivered packets, clamped at zero; its long-run behavior certifies
-    whether the requirement vector is being met.
-    """
-
-    nu_hat: np.ndarray
-    history: list = field(default_factory=list)
-
-    @classmethod
-    def zeros(cls, n_flows: int) -> "DeficitState":
-        return cls(nu_hat=np.zeros(n_flows))
-
-    def apply(self, a_hat, c_hat):
-        self.nu_hat = update_deficit(self.nu_hat, a_hat, c_hat)
-        self.history.append(self.nu_hat.copy())
 
 
 @dataclass(frozen=True)
@@ -149,7 +130,8 @@ def allocate_slots(
     horizon: int,
     curves: list | None = None,
 ) -> np.ndarray:
-    """Per-frame slot split maximizing sum_f (w_f/rho + nu_hat_f) * c_f(s_f).
+    """Per-frame slot split maximizing sum_f (w_f/rho + nu_hat_f) * c_f(s_f),
+    where ``deficits`` holds nu_hat, one entry per flow.
 
     Exact resource-allocation dynamic program over flows (state = slots still
     available, O(flows * horizon^2)), run backwards over the flows as one
@@ -158,11 +140,11 @@ def allocate_slots(
     returned: ties prefer fewer slots for the lowest flow index first, since
     argmax keeps the first of equal candidates.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ConfigError("step size rho must be > 0")
     if not flows:
         return np.zeros(0, dtype=int)
-    nu = deficits.nu_hat if isinstance(deficits, DeficitState) else np.asarray(deficits, dtype=float)
+    nu = np.asarray(deficits, dtype=float)
     if len(nu) != len(flows):
         raise ConfigError("deficit vector length must match the flow list")
     if curves is None:
@@ -194,16 +176,6 @@ def allocate_slots(
         schedule[i] = choice[i, u]
         u -= schedule[i]
     return schedule
-
-
-def thinned_arrivals(arrivals: int, delivery_ratio: float, gen: np.random.Generator) -> int:
-    """Arrivals surviving a Bernoulli(delivery_ratio) thinning — the traffic
-    the deficit queue actually has to answer for."""
-    if not 0.0 <= delivery_ratio <= 1.0:
-        raise ConfigError("delivery ratio must be in [0, 1]")
-    if arrivals < 0:
-        raise ValueError("arrival count must be non-negative")
-    return int(gen.binomial(arrivals, delivery_ratio))
 
 
 def update_deficit(nu_hat, a_hat, c_hat):
@@ -346,7 +318,7 @@ def run_online(
     policies = [intra_policy(f, horizon, intra) for f in flows]
     arrival_gen = rng.shifted(1).generator()
     thinning_gen = rng.shifted(2).generator()
-    state = DeficitState.zeros(n_flows)
+    nu = np.zeros(n_flows)
 
     s_star = np.zeros((frames, n_flows), dtype=int)
     arrivals = np.zeros((frames, n_flows), dtype=int)
@@ -356,7 +328,7 @@ def run_online(
 
     for k in range(frames):
         a = [f.sample_arrivals(horizon, arrival_gen) for f in flows]
-        s = allocate_slots(flows, state, rho, horizon, curves)
+        s = allocate_slots(flows, nu, rho, horizon, curves)
         c_hat = np.zeros(n_flows, dtype=int)
         for i, f in enumerate(flows):
             if s[i] > 0 and a[i] > 0:
@@ -365,15 +337,13 @@ def run_online(
                     rng.shifted(3 + k * n_flows + i),
                 )
                 c_hat[i] = trace.delivered
-        a_hat = np.array(
-            [thinned_arrivals(a[i], f.delivery_ratio, thinning_gen) for i, f in enumerate(flows)]
-        )
-        state.apply(a_hat, c_hat)
+        a_hat = [thinning_gen.binomial(a[i], f.delivery_ratio) for i, f in enumerate(flows)]
+        nu = update_deficit(nu, a_hat, c_hat)
 
         s_star[k] = s
         arrivals[k] = a
         delivered[k] = c_hat
-        nu_hat[k] = state.nu_hat
+        nu_hat[k] = nu
         schedule_value[k] = [curves[i].values[s[i]] for i in range(n_flows)]
 
     return MultiflowTrace(
@@ -437,7 +407,7 @@ def rate_region_sweep(
     """
     if len(flows) != 2:
         raise ConfigError("region sweep expects exactly two template flows")
-    if axis not in ("delivery_ratio", "arrival_rate"):
+    if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     values = np.asarray(grid, dtype=float)
     jobs = []

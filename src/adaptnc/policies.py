@@ -16,9 +16,25 @@ from .decoding import max_block_for_variance
 from .errors import ConfigError
 from .solver import PolicyTable, conservative_block_size, solve_monotone
 
+POLICY_KINDS = ("optimal", "greedy", "conservative", "retransmission", "variance", "learning")
+
 # Erasure estimates are snapped to this grid before solving, so one learning
 # run reuses a handful of plan tables instead of re-solving every slot.
 ESTIMATE_GRID = 1e-3
+
+
+def check_sigma2(sigma2: float | None):
+    """The variance policy's completion-jitter budget: given, and > 0."""
+    if sigma2 is None or not sigma2 > 0:
+        raise ConfigError(f"sigma2 must be > 0 for the variance policy, got {sigma2}")
+
+
+def check_learning(delta: float, eps_init: float):
+    """The learning policy's caution threshold and initial erasure guess."""
+    if not delta >= 0:
+        raise ConfigError(f"delta must be >= 0, got {delta}")
+    if not 0.0 <= eps_init <= 1.0:
+        raise ConfigError(f"eps_init must lie in [0, 1], got {eps_init}")
 
 
 @dataclass
@@ -157,8 +173,7 @@ class VarianceConstrainedPolicy(TablePolicy):
     name = "variance"
 
     def __init__(self, channel: ChannelModel, horizon: int, sigma2: float):
-        if sigma2 <= 0:
-            raise ConfigError("sigma2 must be positive")
+        check_sigma2(sigma2)
         self.sigma2 = sigma2
         self.k_cap = max_block_for_variance(sigma2, channel, ceiling=horizon)
         super().__init__(solve_monotone(horizon, channel, k_cap=max(1, self.k_cap)))
@@ -184,10 +199,7 @@ class LearningPolicy(BlockPolicy):
         delta: float = 0.05,
         eps_init: float = 0.5,
     ):
-        if delta < 0:
-            raise ConfigError("delta must be non-negative")
-        if not 0.0 <= eps_init <= 1.0:
-            raise ConfigError("eps_init must lie in [0, 1]")
+        check_learning(delta, eps_init)
         self.n_receivers = n_receivers
         self.horizon = horizon
         self.delta = delta
@@ -259,8 +271,6 @@ def make_policy(
     if kind == "conservative":
         return ConservativePolicy(channel, horizon)
     if kind == "variance":
-        if sigma2 is None:
-            raise ConfigError("variance policy needs sigma2")
         return VarianceConstrainedPolicy(channel, horizon, sigma2)
     if kind == "learning":
         return LearningPolicy(channel.n_receivers, horizon, delta, eps_init)

@@ -45,9 +45,6 @@ class PolicyTable:
         for arr in (self.k_star, self.k_greedy, self.value):
             arr.flags.writeable = False
 
-    def decision(self, slots_left: int) -> int:
-        return int(self.k_star[slots_left])
-
 
 def _cap_vector(k_cap, horizon: int):
     """Normalize a scalar or per-state cap to an int vector, or None."""

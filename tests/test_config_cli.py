@@ -3,11 +3,14 @@ exit codes, CSV schemas, manifest contents, determinism across seeds and
 worker counts."""
 
 import json
-from dataclasses import replace
+import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptnc import (
     ChannelConfig,
@@ -89,10 +92,6 @@ class TestChannelConfig:
             ChannelConfig(receivers=2, erasures=[0.2, 0.3, 0.4])
         with pytest.raises(ConfigError, match="receivers is required"):
             ChannelConfig(erasure=0.2)
-        with pytest.raises(ConfigError, match="lie in"):
-            ChannelConfig(receivers=2, erasure=1.5)
-        with pytest.raises(ConfigError, match="must not be empty"):
-            ChannelConfig(erasures=[])
         with pytest.raises(ConfigError, match="erasure is required"):
             ChannelConfig(receivers=3).to_model()
 
@@ -216,6 +215,117 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 ExperimentConfig(**{**base, **bad})
 
+    @pytest.mark.parametrize("fields, needle", [
+        # ranges that come from ChannelModel, on the top-level channel
+        (dict(kind="solve", channel={"receivers": 2, "erasure": 1.5}), "channel: erasure"),
+        (dict(kind="solve", channel={"erasures": [0.1, 1.5]}), "channel: erasure"),
+        (dict(kind="solve", channel={"erasures": []}), "channel: receivers must be >= 1"),
+        (dict(kind="solve", channel={"receivers": 0, "erasure": 0.2}),
+         "channel: receivers must be >= 1"),
+        (dict(kind="simulate", channel={"receivers": 0}, epsilon_grid=[0.2]),
+         "channel: receivers must be >= 1"),
+        # a channel section the kind never uses is still a channel
+        (dict(kind="threshold", channel={"receivers": 0}), "channel: receivers must be >= 1"),
+        (dict(kind="multiflow", channel={"receivers": 2, "erasure": -0.1}), "channel: erasure"),
+        # and on a flow's channel
+        (dict(kind="multiflow", flows=[{"flow_id": 4, "arrival_rate": 1.0,
+                                        "channel": {"erasures": [0.2, 2.0]}}]),
+         "flow 4 channel: erasure"),
+        # simulate's rates, each built into ChannelModel.homogeneous
+        (dict(kind="simulate", channel={"receivers": 3}, epsilon_grid=[0.2, 1.5]),
+         "epsilon_grid: erasure probability 1.5"),
+        # the policy parameters, checked by policies.py
+        (dict(kind="solve", channel={"receivers": 2, "erasure": 0.2},
+              policy={"kind": "variance", "sigma2": -1.0}), "policy: sigma2 must be > 0"),
+        (dict(kind="solve", channel={"receivers": 2, "erasure": 0.2},
+              policy={"kind": "variance"}), "policy: sigma2 must be > 0"),
+        (dict(kind="learn", channel={"receivers": 2, "erasure": 0.2},
+              policy={"kind": "learning", "delta": -0.1}), "policy: delta must be >= 0"),
+        (dict(kind="learn", channel={"receivers": 2, "erasure": 0.2},
+              policy={"kind": "learning", "eps_init": 2.0}), "policy: eps_init must lie in"),
+        # the value lists imported from multiflow.py and policies.py
+        (dict(kind="multiflow", intra="hybrid"), "intra must be one of"),
+        (dict(kind="region", axis="weight"), "axis must be one of"),
+        (dict(kind="learn", policy={"kind": "mystery"}), "policy.kind must be one of"),
+    ])
+    def test_section_ranges_come_from_the_models(self, fields, needle):
+        with pytest.raises(ConfigError, match=needle):
+            ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize("text, needle", [
+        ("kind: solve\nhorizon: 10.5\nchannel: {receivers: 2, erasure: 0.2}\n",
+         "horizon must be an integer"),
+        ("kind: solve\nchannel: {receivers: 2.5, erasure: 0.2}\n",
+         "channel.receivers must be an integer"),
+        ("kind: simulate\nreplications: 10.5\nchannel: {receivers: 2}\nepsilon_grid: [0.2]\n",
+         "replications must be an integer"),
+        ("kind: threshold\nt_max: 3.5\n", "t_max must be an integer"),
+        ("kind: solve\nchannel: [1, 2]\n", "channel must be a mapping"),
+        ("kind: solve\nhorizon: true\nchannel: {receivers: 2, erasure: 0.2}\n",
+         "horizon must be an integer"),
+        ("kind: solve\npolicy: optimal\nchannel: {receivers: 2, erasure: 0.2}\n",
+         "policy must be a mapping"),
+        ("kind: simulate\npolicies: optimal\nchannel: {receivers: 2}\nepsilon_grid: [0.2]\n",
+         "policies must be a list"),
+        ("kind: multiflow\nflows: {flow_id: 0}\n", "flows must be a list"),
+        ("kind: multiflow\nflows: [3]\n", "flows entry must be a mapping"),
+        ("kind: simulate\nchannel: {receivers: 2}\nepsilon_grid: ['0.2']\n",
+         "epsilon_grid entry must be a finite number"),
+        ("kind: solve\nchannel: {erasures: [0.2, true]}\n",
+         "channel.erasures entry must be a finite number"),
+        ("kind: threshold\nout: 5\n", "out must be a string"),
+    ])
+    def test_wrong_types_are_rejected(self, text, needle):
+        with pytest.raises(ConfigError, match=needle):
+            parse_config(text)
+
+    @pytest.mark.parametrize("flow, needle", [
+        ({"arrival_rate": ".nan"}, "flows.arrival_rate must be a finite number"),
+        ({"weight": ".nan"}, "flows.weight must be a finite number"),
+        ({"weight": ".inf"}, "flows.weight must be a finite number"),
+        ({"delivery_ratio": "-.inf"}, "flows.delivery_ratio must be a finite number"),
+    ])
+    def test_non_finite_flow_numbers_are_rejected(self, flow, needle):
+        fields = {"flow_id": 0, "arrival_rate": 1.0, "channel": "{receivers: 2, erasure: 0.2}",
+                  **flow}
+        entry = ", ".join(f"{k}: {v}" for k, v in fields.items())
+        with pytest.raises(ConfigError, match=needle):
+            parse_config(f"kind: multiflow\nflows: [{{{entry}}}]\n")
+
+    def test_non_finite_numbers_are_rejected(self):
+        learn = "kind: learn\nchannel: {receivers: 2, erasure: 0.2}\n"
+        for text, needle in (
+            ("kind: multiflow\nrho: .inf\n", "rho must be a finite number"),
+            (learn + "policy: {kind: learning, delta: .nan}\n", "policy.delta must be a finite"),
+            (learn + "policy: {kind: learning, eps_init: .nan}\n", "policy.eps_init"),
+            ("kind: solve\nchannel: {receivers: 2, erasure: .nan}\n", "channel.erasure must"),
+            ("kind: simulate\nchannel: {receivers: 2}\nepsilon_grid: [.inf]\n",
+             "epsilon_grid entry must be a finite number"),
+        ):
+            with pytest.raises(ConfigError, match=needle):
+                parse_config(text)
+
+    def test_ints_are_numbers_and_kept_as_given(self):
+        text = ("kind: multiflow\nrho: 1\nflows:\n- {flow_id: 0, arrival_rate: 2, weight: 3, "
+                "delivery_ratio: 1, channel: {receivers: 2, erasure: 0}}\n")
+        cfg = parse_config(text)
+        assert type(cfg.rho) is int and type(cfg.flows[0].weight) is int
+        assert serialize_config(cfg) == serialize_config(parse_config(serialize_config(cfg)))
+        assert "rho: 1\n" in serialize_config(cfg)
+
+    def test_variance_in_policies_needs_sigma2_at_load(self, tmp_path):
+        fields = dict(kind="simulate", channel={"receivers": 2}, epsilon_grid=[0.2],
+                      policies=["optimal", "variance"], replications=10)
+        with pytest.raises(ConfigError, match="policy: sigma2 must be > 0"):
+            ExperimentConfig(**fields)
+        with pytest.raises(ConfigError, match="policy: sigma2 must be > 0"):
+            ExperimentConfig(**fields, policy={"sigma2": -2.0})
+        ExperimentConfig(**fields, policy={"sigma2": 40.0})
+        path = tmp_path / "variance.yaml"
+        path.write_text(yaml.safe_dump({**fields, "out": str(tmp_path / "out")}), encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestParseAndSerialize:
     def test_round_trip_of_shipped_configs(self):
@@ -275,6 +385,142 @@ class TestParseAndSerialize:
         assert config_digest(a) == config_digest(b)
         c = parse_config("kind: solve\nhorizon: 9\nseed: 3\nchannel: {receivers: 5, erasure: 0.2}\n")
         assert config_digest(c) != config_digest(a)
+
+
+# Inputs of the parse_config property test.
+_JUNK = st.one_of(
+    st.integers(-2, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text("abyz_", max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["receivers", "bogus"]), st.integers(0, 2), max_size=1),
+)
+_BAD_RATE = st.sampled_from([2.5, -0.5, math.nan, math.inf, -math.inf])
+_KINDS = ["solve", "simulate", "learn", "multiflow", "region", "threshold"]
+
+
+@st.composite
+def _raw_config(draw):
+    """A config mapping over the known fields. Half the examples are clean:
+    in-range values, and the sections their kind requires. The rest also
+    draw out-of-range values and unknown names, and in some sections one
+    field is replaced by junk of any type. Ints stay small, because a loaded
+    config builds its channels, one rate per receiver."""
+    clean = draw(st.booleans())
+    rate = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+    if not clean:
+        rate = st.one_of(rate, _BAD_RATE)
+
+    def count(low, high):
+        return st.integers(low if clean else low - 2, high)
+
+    def pick(valid, invalid):
+        return st.sampled_from(valid if clean else valid + invalid)
+
+    def section(required, optional):
+        optional = {k: v for k, v in optional.items() if k not in required}
+        raw = draw(st.fixed_dictionaries(required, optional=optional))
+        if raw and not clean and draw(st.integers(0, 2)) == 0:
+            raw[draw(st.sampled_from(sorted(raw)))] = draw(_JUNK)
+        return raw
+
+    kind = draw(pick(_KINDS, ["orbit"]))
+
+    def channel():
+        fields = {"receivers": count(1, 6), "erasure": rate,
+                  "erasures": st.lists(rate, min_size=1, max_size=3)}
+        shapes = [("receivers", "erasure"), ("erasures",), ("receivers",)]
+        if clean:  # the shape the kind needs: simulate gives receivers only
+            shapes = shapes[2:] if kind == "simulate" else shapes[:2]
+        shape = draw(st.sampled_from(shapes))
+        return section({k: fields[k] for k in shape}, {} if clean else fields)
+
+    def flow(flow_id):
+        return section(
+            {"flow_id": st.just(flow_id) if clean else st.integers(0, 2),
+             "channel": st.just(channel()), "arrival_rate": rate},
+            {"delivery_ratio": rate, "weight": st.floats(0.1, 5.0) if clean else rate,
+             "arrival_process": pick(["bernoulli", "poisson"], ["burst"]),
+             "arrival_batches": count(1, 12)},
+        )
+
+    policy = section({"kind": st.just("learning")} if kind == "learn" and clean else {}, {
+        "kind": pick(["optimal", "variance", "learning"], ["mystery"]),
+        "sigma2": st.floats(0.1, 100.0) if clean else rate,
+        "delta": rate,
+        "eps_init": rate,
+    })
+    n_flows = 2 if kind == "region" and clean else draw(st.integers(0, 2))
+    optional = {
+        "seed": st.integers(0 if clean else -1, 2**64),
+        "out": st.just("runs/property"),
+        "horizon": count(1, 12),
+        "channel": st.just(channel()),
+        "policy": st.just(policy),
+        "policies": st.lists(pick(["optimal", "variance", "learning"], ["oracle"]), max_size=3),
+        "epsilon_grid": st.lists(rate, min_size=1, max_size=3),
+        "replications": count(1, 20),
+        "frames": count(1, 20),
+        "backlog": count(0, 12),
+        "rho": st.floats(0.01, 2.0) if clean else rate,
+        "intra": pick(["optimal", "retransmission"], ["hybrid"]),
+        "flows": st.just([flow(i) for i in range(n_flows)]),
+        "grid": st.lists(rate, min_size=1, max_size=3),
+        "axis": pick(["delivery_ratio", "arrival_rate"], ["weight"]),
+        "t_max": count(2, 40),
+        "receivers_max": count(1, 20),
+    }
+    needs = {"solve": ["channel"], "learn": ["channel", "policy"],
+             "simulate": ["channel", "epsilon_grid"], "region": ["flows", "grid"]}
+    required = {"kind": st.just(kind)}
+    if clean:
+        required.update({k: optional[k] for k in needs.get(kind, [])})
+    return section(required, optional)
+
+
+_INT_FIELDS = {"seed", "horizon", "replications", "frames", "backlog", "t_max",
+               "receivers_max", "receivers", "flow_id", "arrival_batches"}
+_NUMBER_FIELDS = {"rho", "erasure", "sigma2", "delta", "eps_init", "arrival_rate",
+                  "delivery_ratio", "weight"}
+_FLOAT_LIST_FIELDS = {"epsilon_grid", "grid", "erasures"}
+_OPTIONAL_FIELDS = {"channel", "backlog", "receivers", "erasure", "erasures", "sigma2",
+                    "arrival_batches"}
+
+
+def _assert_typed(section):
+    """Every field of a loaded section has its declared type and is finite."""
+    for name, value in section.items():
+        if value is None:
+            assert name in _OPTIONAL_FIELDS, name
+        elif name in ("channel", "policy"):
+            _assert_typed(value)
+        elif name in _INT_FIELDS:
+            assert type(value) is int, (name, value)
+        elif name in _NUMBER_FIELDS:
+            assert type(value) in (int, float) and math.isfinite(value), (name, value)
+        elif name in _FLOAT_LIST_FIELDS:
+            assert all(type(v) is float and math.isfinite(v) for v in value), (name, value)
+        elif name == "flows":
+            for flow in value:
+                _assert_typed(flow)
+        elif name == "policies":
+            assert all(type(v) is str for v in value), value
+        else:
+            assert type(value) is str, (name, value)
+
+
+class TestParseConfigProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_raw_config())
+    def test_rejects_or_round_trips(self, raw):
+        try:
+            cfg = parse_config(yaml.safe_dump(raw))
+        except ConfigError:
+            return
+        assert parse_config(serialize_config(cfg)) == cfg
+        assert isinstance(cfg.policies, tuple) and isinstance(cfg.flows, tuple)
+        _assert_typed(asdict(cfg))
 
 
 class TestCliSolve:

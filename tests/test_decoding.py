@@ -448,10 +448,10 @@ class TestChannelModel:
             ChannelModel(erasures=(0.5, 1.2))
         with pytest.raises(ValueError):
             ChannelModel.homogeneous(0.5, 0)
+        with pytest.raises(ValueError):
+            ChannelModel(erasures=(0.5, np.nan))
 
     def test_accessors(self):
         ch = ChannelModel(erasures=(0.1, 0.4))
         assert ch.n_receivers == 2
-        assert not ch.is_homogeneous
         assert ch.worst_erasure() == 0.4
-        assert ChannelModel.homogeneous(0.3, 3).is_homogeneous

@@ -10,7 +10,6 @@ import pytest
 from adaptnc import (
     ChannelModel,
     ConfigError,
-    DeficitState,
     FlowSpec,
     OptimalPolicy,
     RetransmissionPolicy,
@@ -23,7 +22,6 @@ from adaptnc import (
     service_curve,
     solve_monotone,
     static_dual_iteration,
-    thinned_arrivals,
     update_deficit,
 )
 from adaptnc import multiflow
@@ -65,7 +63,7 @@ def _reference_allocate(flows, deficits, rho, horizon, curves=None):
     """The allocator's dynamic program as a plain triple loop over flows,
     slots available and slots granted: a strict > keeps the smallest slot
     count, so ties go to fewer slots for the lowest flow index first."""
-    nu = deficits.nu_hat if isinstance(deficits, DeficitState) else np.asarray(deficits, dtype=float)
+    nu = np.asarray(deficits, dtype=float)
     if curves is None:
         curves = [service_curve(f, horizon) for f in flows]
     n_flows = len(flows)
@@ -273,12 +271,6 @@ class TestAllocateSlots:
         both_dead = [flow(0, ChannelModel.homogeneous(1.0, 2)), flow(1, ChannelModel.homogeneous(1.0, 2))]
         assert allocate_slots(both_dead, np.zeros(2), 0.1, 6).tolist() == [0, 0]
 
-    def test_accepts_deficit_state(self):
-        flows = [flow(0), flow(1)]
-        a = allocate_slots(flows, DeficitState.zeros(2), 0.1, 10)
-        b = allocate_slots(flows, np.zeros(2), 0.1, 10)
-        assert np.array_equal(a, b)
-
     def test_validation(self):
         flows = [flow(0), flow(1)]
         assert allocate_slots([], np.zeros(0), 0.1, 5).shape == (0,)
@@ -289,20 +281,32 @@ class TestAllocateSlots:
 
 
 class TestDeficitPlumbing:
-    def test_thinning_extremes_and_errors(self):
-        gen = np.random.default_rng(5)
-        assert thinned_arrivals(7, 1.0, gen) == 7
-        assert thinned_arrivals(7, 0.0, gen) == 0
-        with pytest.raises(ConfigError):
-            thinned_arrivals(7, 1.5, gen)
-        with pytest.raises(ValueError):
-            thinned_arrivals(-1, 0.5, gen)
+    def test_thinning_extremes(self):
+        # ratio 1 keeps every arrival, ratio 0 none
+        trace = run_online([flow(0, q=1.0), flow(1, q=0.0)], 200, 10, 0.1, RngSpec(5, 0))
+        nu = np.zeros(2)
+        for k in range(trace.frames):
+            nu = update_deficit(nu, [trace.arrivals[k, 0], 0], trace.delivered[k])
+            assert np.array_equal(trace.nu_hat[k], nu), k
+        assert trace.arrivals[:, 0].sum() > 0
+        assert (trace.nu_hat[:, 1] == 0).all()
 
     def test_thinning_is_binomial(self):
-        gen = np.random.default_rng(6)
-        draws = np.array([thinned_arrivals(10, 0.3, gen) for _ in range(20_000)])
-        se = np.sqrt(10 * 0.3 * 0.7 / len(draws))
-        assert abs(draws.mean() - 3.0) < 3 * se
+        # stream +2 of the run draws one binomial per flow and frame, in
+        # flow order; replaying it reproduces every deficit
+        flows = [flow(0, lam=4.0, q=0.3), flow(1, lam=3.0, q=0.6, arrival_process="poisson")]
+        trace = run_online(flows, 3_000, 10, 0.1, RngSpec(6, 0))
+        gen = RngSpec(6, 0).shifted(2).generator()
+        nu = np.zeros(2)
+        kept = np.zeros((trace.frames, 2), dtype=int)
+        for k in range(trace.frames):
+            kept[k] = [gen.binomial(trace.arrivals[k, i], f.delivery_ratio)
+                       for i, f in enumerate(flows)]
+            nu = update_deficit(nu, kept[k], trace.delivered[k])
+            assert np.array_equal(trace.nu_hat[k], nu), k
+        for i, q in enumerate((0.3, 0.6)):
+            n = trace.arrivals[:, i].sum()
+            assert abs(kept[:, i].sum() / n - q) < 3 * np.sqrt(q * (1 - q) / n)
 
     def test_update_deficit(self):
         out = update_deficit([2.0, 0.0, 5.0], [3, 1, 0], [4, 0, 9])
@@ -320,11 +324,11 @@ class TestDeficitPlumbing:
         assert deficit_slope([1.0, 7.0]) == 0.0  # tail of one point has no trend
 
     def test_deficit_state(self):
-        state = DeficitState.zeros(2)
-        state.apply([3, 0], [1, 2])
-        state.apply([0, 5], [4, 1])
-        assert state.nu_hat.tolist() == [0.0, 4.0]
-        assert [h.tolist() for h in state.history] == [[2.0, 0.0], [0.0, 4.0]]
+        # two frames in a row, the second starting from the first's result
+        history = [np.zeros(2)]
+        for a, c in (([3, 0], [1, 2]), ([0, 5], [4, 1])):
+            history.append(update_deficit(history[-1], a, c))
+        assert [h.tolist() for h in history[1:]] == [[2.0, 0.0], [0.0, 4.0]]
 
 
 class TestFlowSpec:
@@ -339,6 +343,11 @@ class TestFlowSpec:
             flow(0, arrival_process="uniform")
         with pytest.raises(ConfigError):
             flow(0, arrival_batches=0)
+        # every rule accepts only in-range values, so NaN never passes
+        for bad in (dict(lam=np.nan), dict(lam=np.inf), dict(q=np.nan),
+                    dict(weight=np.nan), dict(weight=np.inf), dict(arrival_batches=np.nan)):
+            with pytest.raises(ConfigError):
+                flow(0, **bad)
 
     def test_bernoulli_batches_default_to_horizon(self):
         gen = np.random.default_rng(8)

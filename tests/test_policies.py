@@ -236,6 +236,10 @@ class TestLearningPolicyBehavior:
             LearningPolicy(n_receivers=2, horizon=5, delta=-0.1)
         with pytest.raises(ConfigError):
             LearningPolicy(n_receivers=2, horizon=5, eps_init=1.5)
+        with pytest.raises(ConfigError, match="delta"):
+            LearningPolicy(n_receivers=2, horizon=5, delta=float("nan"))
+        with pytest.raises(ConfigError, match="eps_init"):
+            LearningPolicy(n_receivers=2, horizon=5, eps_init=float("nan"))
 
 
 class TestVarianceConstrainedPolicy:
@@ -260,6 +264,8 @@ class TestVarianceConstrainedPolicy:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ConfigError):
             VarianceConstrainedPolicy(ChannelModel.homogeneous(0.4, 3), 8, sigma2=0.0)
+        with pytest.raises(ConfigError, match="sigma2"):
+            VarianceConstrainedPolicy(ChannelModel.homogeneous(0.4, 3), 8, sigma2=float("nan"))
 
 
 class TestMakePolicy:
