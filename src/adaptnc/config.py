@@ -7,13 +7,14 @@ is checked by building its model objects (ChannelModel, FlowSpec) or by
 calling its model's own check (the policy parameters in policies.py), never
 by a copy here. This module checks only what the models cannot see: field
 types, the shape of each section, and cross-field context such as which
-sections a kind requires. parse_config(serialize_config(c)) == c holds for
-all valid configs, which keeps run manifests trustworthy.
+sections a kind requires and which fields it reads (KIND_FIELDS).
+parse_config(serialize_config(c)) == c holds for all valid configs, which
+keeps run manifests trustworthy.
 """
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from types import NoneType, UnionType
 from typing import get_args, get_origin
 
@@ -24,7 +25,18 @@ from .errors import ConfigError
 from .multiflow import INTRA_POLICIES, SWEEP_AXES, FlowSpec
 from .policies import POLICY_KINDS, check_learning, check_sigma2
 
-EXPERIMENT_KINDS = ("solve", "simulate", "learn", "multiflow", "region", "threshold")
+# The fields each kind reads, besides kind, seed and out. Any other field
+# must keep its default: a run never ignores a value it was given.
+KIND_FIELDS = {
+    "solve": ("horizon", "channel"),
+    "simulate": ("horizon", "channel", "policy", "policies", "epsilon_grid",
+                 "replications", "backlog"),
+    "learn": ("horizon", "channel", "policy", "frames", "backlog"),
+    "multiflow": ("horizon", "rho", "frames", "intra", "flows"),
+    "region": ("horizon", "rho", "frames", "flows", "grid", "axis"),
+    "threshold": ("t_max", "receivers_max"),
+}
+EXPERIMENT_KINDS = tuple(KIND_FIELDS)
 
 
 def _require(cond: bool, message: str):
@@ -82,6 +94,11 @@ def _typed(name: str, value, hint):
     noun, ok = _TYPE_CHECKS[hint]
     _require(ok(value), f"{name} must be {noun}, got {value!r}")
     return value
+
+
+def _default(f):
+    """The default value of a dataclass field."""
+    return f.default_factory() if f.default is MISSING else f.default
 
 
 def _check_types(section, prefix: str):
@@ -257,6 +274,12 @@ class ExperimentConfig:
         if self.kind == "threshold":
             _require(self.t_max >= 2, "threshold requires t_max >= 2")
             _require(self.receivers_max >= 1, "threshold requires receivers_max >= 1")
+        read = ("kind", "seed", "out") + KIND_FIELDS[self.kind]
+        unread = [
+            f.name for f in fields(self)
+            if f.name not in read and getattr(self, f.name) != _default(f)
+        ]
+        _require(not unread, f"{self.kind} does not read {', '.join(unread)}: leave them out")
 
 
 def _clean(value):

@@ -18,10 +18,10 @@ import numpy as np
 
 from .channel import ChannelModel
 from .errors import ConfigError
-from .policies import BlockPolicy, OptimalPolicy, RetransmissionPolicy
+from .policies import OptimalPolicy
 from .rng import RngSpec
 from .simulate import simulate_frame
-from .solver import solve_monotone
+from .solver import PolicyTable, solve_monotone
 
 INTRA_POLICIES = ("optimal", "retransmission")
 SWEEP_AXES = ("delivery_ratio", "arrival_rate")
@@ -97,30 +97,28 @@ class ServiceCurve:
 _CURVE_CACHE: dict = {}
 
 
-def service_curve(flow: FlowSpec, horizon: int, intra: str = "optimal") -> ServiceCurve:
-    """Value-by-slots curve for one flow: entry s is the expected delivery of
-    the intra-flow policy given s dedicated slots. One bottom-up solve covers
-    every budget 0..horizon; results are cached per (channel, horizon, intra).
-    """
+def _intra_plan(flow: FlowSpec, horizon: int, intra: str) -> PolicyTable:
+    """The flow's block plan, cached per (channel, horizon, intra): the
+    optimal plan, or for retransmission the plan capped at one packet per
+    block. Its value is the service curve, and run_online transmits with it."""
     if horizon < 1:
         raise ConfigError("service curve needs a horizon of at least 1 slot")
     if intra not in INTRA_POLICIES:
         raise ConfigError(f"unknown intra-flow policy {intra!r}")
     key = (flow.channel.erasures, horizon, intra)
-    values = _CURVE_CACHE.get(key)
-    if values is None:
+    plan = _CURVE_CACHE.get(key)
+    if plan is None:
         k_cap = 1 if intra == "retransmission" else None
-        values = solve_monotone(horizon, flow.channel, k_cap=k_cap).value
-        values.setflags(write=False)
-        _CURVE_CACHE[key] = values
-    return ServiceCurve(flow_id=flow.flow_id, values=values)
+        plan = _CURVE_CACHE[key] = solve_monotone(horizon, flow.channel, k_cap=k_cap)
+    return plan
 
 
-def intra_policy(flow: FlowSpec, horizon: int, intra: str = "optimal") -> BlockPolicy:
-    """Block-size policy matching the curve ``intra`` mode."""
-    if intra == "retransmission":
-        return RetransmissionPolicy()
-    return OptimalPolicy(solve_monotone(horizon, flow.channel))
+def service_curve(flow: FlowSpec, horizon: int, intra: str = "optimal") -> ServiceCurve:
+    """Value-by-slots curve for one flow: entry s is the expected delivery of
+    the intra-flow policy given s dedicated slots. One bottom-up solve covers
+    every budget 0..horizon; results are cached per (channel, horizon, intra).
+    """
+    return ServiceCurve(flow_id=flow.flow_id, values=_intra_plan(flow, horizon, intra).value)
 
 
 def allocate_slots(
@@ -315,7 +313,7 @@ def run_online(
         f.check_arrivals(horizon)
     n_flows = len(flows)
     curves = [service_curve(f, horizon, intra) for f in flows]
-    policies = [intra_policy(f, horizon, intra) for f in flows]
+    policies = [OptimalPolicy(_intra_plan(f, horizon, intra)) for f in flows]
     arrival_gen = rng.shifted(1).generator()
     thinning_gen = rng.shifted(2).generator()
     nu = np.zeros(n_flows)
@@ -377,11 +375,11 @@ class RegionMap:
 def _sweep_cell(args):
     """One grid point of a region sweep; module-level so worker pools can
     pickle it. Returns (ix, iy, stable under coding, stable under retx)."""
-    ix, iy, pair, frames, horizon, rho, rng, slope_tol = args
+    ix, iy, pair, frames, horizon, rho, rng = args
     flags = []
     for j, intra in enumerate(INTRA_POLICIES):
         trace = run_online(pair, frames, horizon, rho, rng.shifted(j << 32), intra=intra)
-        flags.append(trace.is_stable(slope_tol))
+        flags.append(trace.is_stable())
     return ix, iy, flags[0], flags[1]
 
 
@@ -393,7 +391,6 @@ def rate_region_sweep(
     frames: int,
     rng: RngSpec,
     axis: str = "delivery_ratio",
-    slope_tol: float = STABILITY_SLOPE,
     workers: int = 1,
 ) -> RegionMap:
     """Classify every grid point as stable or not, with and without coding.
@@ -401,7 +398,7 @@ def rate_region_sweep(
     The two template flows get the grid values on ``axis`` (first flow takes
     the x value, second the y value); each point runs the online loop twice —
     optimal intra-flow blocks and plain retransmission — and is stable when
-    no flow's deficit trend exceeds ``slope_tol`` per frame. Each (point,
+    no flow's deficit trend exceeds STABILITY_SLOPE per frame. Each (point,
     mode) pair draws from its own stream block, so results are identical
     whether cells run serially or across ``workers`` processes.
     """
@@ -418,8 +415,7 @@ def rate_region_sweep(
                 replace(flows[1], **{axis: float(y)}),
             ]
             cell = ix * len(values) + iy
-            jobs.append((ix, iy, pair, frames, horizon, rho,
-                         rng.shifted((2 * cell) << 32), slope_tol))
+            jobs.append((ix, iy, pair, frames, horizon, rho, rng.shifted((2 * cell) << 32)))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,10 +1,10 @@
 """Slot-level simulation of coded frames over the broadcast channel.
 
 The reference engine walks one frame slot by slot, feeding the policy and
-recording a full trace. The batch engine replays the identical per-stream
-channel bits for many replications at once with array arithmetic; for the
-same (seed, stream) both produce the same delivered count, which the tests
-exploit. All channel randomness flows through RngSpec so the replication
+recording its block decisions. The batch engine replays the identical
+per-stream channel bits for many replications at once with array
+arithmetic; for the same (seed, stream) both produce the same delivered
+count, which the tests exploit. All channel randomness flows through RngSpec so the replication
 order never matters.
 """
 
@@ -19,20 +19,19 @@ from .rng import RngSpec, fill_uniform, frame_bits
 
 @dataclass
 class FrameTrace:
-    """Everything one simulated frame did, slot by slot."""
+    """What one simulated frame did: its blocks and what they delivered.
+
+    The slots behind each block replay from ``decisions`` and ``frame_bits``
+    of the same stream: block j starts at slot horizon - decisions[j][0].
+    """
 
     horizon: int
     backlog: int
     decisions: list  # (slots_left, block_size) per committed block
-    slot_state: np.ndarray  # slots remaining at each transmitted slot's start
-    slot_block: np.ndarray  # which block each transmitted slot belonged to
-    slot_log: np.ndarray  # (slots, receivers) reception indicators
+    slots_used: int
     delivered: int
     blocks_completed: int
     blocks_abandoned_at_deadline: int
-
-    def slots_used(self) -> int:
-        return len(self.slot_state)
 
 
 def simulate_frame(
@@ -47,7 +46,9 @@ def simulate_frame(
     The policy is asked for a block size whenever the channel is free; a
     block occupies consecutive slots until every receiver holds its packets,
     and a block cut off by the deadline delivers nothing. Per-slot reception
-    counts are reported back to the policy either way.
+    counts are reported back to the policy either way. A policy that proposes
+    an empty block while slots and packets remain is an error, as in the
+    batch engine.
     """
     if horizon < 0 or backlog < 0:
         raise ValueError("horizon and backlog must be non-negative")
@@ -58,20 +59,17 @@ def simulate_frame(
     policy.start_frame(horizon)
     t, m, s = horizon, backlog, 0
     decisions = []
-    slot_block = []
     delivered = completed = abandoned = 0
 
     while t > 0 and m > 0:
         k = policy.decide(t, m)
         if k <= 0:
-            break
-        block_id = len(decisions)
+            raise ValueError("policy proposed an empty block mid-frame")
         decisions.append((t, k))
         counts = [0] * n
         done = False
         while s < horizon:
             row = rows[s]
-            slot_block.append(block_id)
             s += 1
             got = 0
             for i in range(n):
@@ -90,14 +88,11 @@ def simulate_frame(
             abandoned += 1
             t = 0
 
-    used = len(slot_block)
     return FrameTrace(
         horizon=horizon,
         backlog=backlog,
         decisions=decisions,
-        slot_state=horizon - np.arange(used),
-        slot_block=np.array(slot_block, dtype=int),
-        slot_log=bits[:used],
+        slots_used=s,
         delivered=delivered,
         blocks_completed=completed,
         blocks_abandoned_at_deadline=abandoned,
@@ -145,7 +140,7 @@ def _batch_delivered(k_vec, horizon, backlog, erasures, seed, streams) -> np.nda
     while active.size:
         k = np.minimum(k_vec[t[active]], m[active])
         if (k < 1).any():
-            raise ValueError("table policy proposed an empty block mid-frame")
+            raise ValueError("policy proposed an empty block mid-frame")
         start = horizon - t[active]
         target = csum[active, start, :] + k[:, None]
         comp = csum[active, 1:, :] >= target[:, None, :]

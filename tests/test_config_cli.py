@@ -30,6 +30,7 @@ from adaptnc import (
     solve_monotone,
 )
 from adaptnc import cli
+from adaptnc.config import KIND_FIELDS
 
 
 def read_csv_lines(path):
@@ -313,6 +314,23 @@ class TestConfigValidation:
         assert serialize_config(cfg) == serialize_config(parse_config(serialize_config(cfg)))
         assert "rho: 1\n" in serialize_config(cfg)
 
+    def test_fields_the_kind_does_not_read_are_rejected(self):
+        with pytest.raises(
+            ConfigError, match="solve does not read policies, epsilon_grid, replications, rho, grid"
+        ):
+            parse_config("kind: solve\nchannel: {receivers: 2, erasure: 0.2}\n"
+                         "epsilon_grid: [0.5]\nreplications: 7\nrho: 0.5\n"
+                         "policies: [learning]\ngrid: [0.3]\n")
+        flows = [{"flow_id": i, "channel": {"receivers": 2, "erasure": 0.3},
+                  "arrival_rate": 1.0} for i in range(2)]
+        region = dict(kind="region", grid=[0.2], flows=flows)
+        with pytest.raises(ConfigError, match="region does not read intra"):
+            ExperimentConfig(**region, intra="retransmission")
+        # a field at its default is not a value the run ignores, so a saved
+        # config.yaml, which lists every field, loads again
+        cfg = ExperimentConfig(**region, intra="optimal", replications=10000)
+        assert parse_config(serialize_config(cfg)) == cfg
+
     def test_variance_in_policies_needs_sigma2_at_load(self, tmp_path):
         fields = dict(kind="simulate", channel={"receivers": 2}, epsilon_grid=[0.2],
                       policies=["optimal", "variance"], replications=10)
@@ -474,7 +492,9 @@ def _raw_config(draw):
     needs = {"solve": ["channel"], "learn": ["channel", "policy"],
              "simulate": ["channel", "epsilon_grid"], "region": ["flows", "grid"]}
     required = {"kind": st.just(kind)}
-    if clean:
+    if clean:  # only the fields the kind reads
+        optional = {k: v for k, v in optional.items()
+                    if k in ("seed", "out") + KIND_FIELDS[kind]}
         required.update({k: optional[k] for k in needs.get(kind, [])})
     return section(required, optional)
 

@@ -11,7 +11,6 @@ from adaptnc import (
     ChannelModel,
     ConfigError,
     FlowSpec,
-    OptimalPolicy,
     RetransmissionPolicy,
     RngSpec,
     ServiceCurve,
@@ -20,12 +19,12 @@ from adaptnc import (
     rate_region_sweep,
     run_online,
     service_curve,
+    simulate_frame,
     solve_monotone,
     static_dual_iteration,
     update_deficit,
 )
 from adaptnc import multiflow
-from adaptnc.multiflow import intra_policy
 
 CH = ChannelModel.homogeneous(0.3, 5)
 
@@ -142,12 +141,40 @@ class TestServiceCurve:
             service_curve(flow(0), 5, intra="hybrid")
 
 
-class TestIntraPolicy:
-    def test_kinds(self):
-        assert isinstance(intra_policy(flow(0), 6, "retransmission"), RetransmissionPolicy)
-        policy = intra_policy(flow(0), 6, "optimal")
-        assert isinstance(policy, OptimalPolicy)
-        assert np.array_equal(policy.table.k_star, solve_monotone(6, CH).k_star)
+class TestIntraPlan:
+    def test_run_online_solves_each_plan_once(self, monkeypatch):
+        calls = []
+
+        def counted(horizon, channel, k_cap=None):
+            calls.append((channel.erasures, horizon, k_cap))
+            return solve_monotone(horizon, channel, k_cap=k_cap)
+
+        monkeypatch.setattr(multiflow, "solve_monotone", counted)
+        monkeypatch.setattr(multiflow, "_CURVE_CACHE", {})
+        other = ChannelModel((0.2, 0.5, 0.7))
+        flows = [flow(0), flow(1), flow(2, channel=other)]
+        for intra in multiflow.INTRA_POLICIES:
+            for seed in (3, 4):
+                run_online(flows, 20, 6, 0.1, RngSpec(seed, 0), intra=intra)
+        # the optimal plan, and retransmission as the plan capped at one packet
+        assert len(calls) == 4
+        assert set(calls) == {(ch.erasures, 6, cap) for ch in (CH, other) for cap in (None, 1)}
+
+    def test_retransmission_plan_delivers_like_retransmission_policy(self):
+        flows = [flow(0), flow(1, channel=ChannelModel((0.2, 0.5, 0.7)))]
+        rng = RngSpec(8, 0)
+        trace = run_online(flows, 200, 8, 0.1, rng, intra="retransmission")
+        for k in range(trace.frames):
+            for i, f in enumerate(flows):
+                s, a = int(trace.s_star[k, i]), int(trace.arrivals[k, i])
+                expect = 0
+                if s > 0 and a > 0:
+                    # frame k, flow i transmits on stream 3 + k * flows + i
+                    expect = simulate_frame(
+                        RetransmissionPolicy(), s, a, f.channel, rng.shifted(3 + 2 * k + i)
+                    ).delivered
+                assert trace.delivered[k, i] == expect, (k, i)
+        assert trace.delivered.sum() > 0
 
 
 class TestAllocateSlots:

@@ -1,10 +1,13 @@
-"""The README's library quick tour must run as written, and the entry points
-it names must exist."""
+"""The README's library quick tour must run as written, the entry points it
+names must exist, and its per-command config bullets must match the fields
+each kind reads."""
 
 import re
 from pathlib import Path
 
 import adaptnc
+from adaptnc import ExperimentConfig
+from adaptnc.config import KIND_FIELDS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -26,3 +29,12 @@ def test_named_entry_points_exist():
     assert len(names) == 5
     for name in names:
         assert hasattr(adaptnc, name), name
+
+
+def test_command_bullets_name_the_fields_each_kind_reads():
+    top_level = set(ExperimentConfig.__dataclass_fields__) - {"kind", "seed", "out"}
+    for kind, read in KIND_FIELDS.items():
+        bullet = re.search(rf"^- `{kind}`: (.*?)\n(?!  )", README, flags=re.S | re.M)
+        assert bullet, kind
+        named = set(re.findall(r"`(\w+)`", bullet.group(1))) & top_level
+        assert named == set(read), kind

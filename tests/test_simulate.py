@@ -33,13 +33,16 @@ def fixed_table(k_star, channel, horizon=None):
     )
 
 
-def rescore_trace(trace) -> int:
-    """Recompute delivered packets from the raw trace, independently of the
-    engine's bookkeeping: credit a block only when every receiver reached its
-    size within the slots attributed to it."""
+def rescore_trace(trace, bits) -> int:
+    """Recompute delivered packets from the frame's reception bits,
+    independently of the engine's bookkeeping: block j holds the slots from
+    its start (horizon - its slots_left) to the next block's start, or to the
+    last used slot, and is credited only when every receiver reached its size
+    within them."""
+    starts = [trace.horizon - t for t, _ in trace.decisions] + [trace.slots_used]
     delivered = 0
-    for block_id, (_, k) in enumerate(trace.decisions):
-        rows = trace.slot_log[trace.slot_block == block_id]
+    for j, (_, k) in enumerate(trace.decisions):
+        rows = bits[starts[j] : starts[j + 1]]
         if rows.size and (rows.sum(axis=0) >= k).all():
             delivered += k
     return delivered
@@ -115,7 +118,7 @@ class TestDeterministicChannels:
         policy = OptimalPolicy(solve_monotone(5, ch))
         trace = simulate_frame(policy, 5, 10, ch, RngSpec(1, 0))
         assert trace.delivered == 5
-        assert trace.slots_used() == 5
+        assert trace.slots_used == 5
         assert trace.blocks_completed == 5
         assert trace.blocks_abandoned_at_deadline == 0
         assert [k for _, k in trace.decisions] == [1, 1, 1, 1, 1]
@@ -135,13 +138,13 @@ class TestDeterministicChannels:
         assert trace.delivered == 0
         assert trace.blocks_completed == 0
         assert trace.blocks_abandoned_at_deadline == 1  # one block rides out the frame
-        assert trace.slots_used() == 6
+        assert trace.slots_used == 6
 
     def test_backlog_exhaustion_stops_the_frame(self):
         ch = ChannelModel.homogeneous(0.0, 2)
         trace = simulate_frame(OptimalPolicy(solve_monotone(8, ch)), 8, 3, ch, RngSpec(1, 0))
         assert trace.delivered == 3
-        assert trace.slots_used() == 3
+        assert trace.slots_used == 3
 
     def test_rejects_negative_arguments(self):
         ch = ChannelModel.homogeneous(0.5, 2)
@@ -158,26 +161,31 @@ class TestTraceBookkeeping:
         policy = OptimalPolicy(solve_monotone(10, ch))
         a = simulate_frame(policy, 10, 50, ch, RngSpec(42, 5))
         b = simulate_frame(policy, 10, 50, ch, RngSpec(42, 5))
-        assert (a.slot_log == b.slot_log).all()
-        assert a.decisions == b.decisions
-        assert a.delivered == b.delivered
+        assert a == b
 
     def test_rescore_recovers_delivered_count(self):
         ch = ChannelModel((0.2, 0.6))
         policy = OptimalPolicy(solve_monotone(12, ch))
         for rep in range(30):
             trace = simulate_frame(policy, 12, 50, ch, RngSpec(7, rep))
-            assert rescore_trace(trace) == trace.delivered
+            bits = frame_bits(RngSpec(7, rep), 12, ch.erasures)
+            assert rescore_trace(trace, bits) == trace.delivered
 
     def test_slot_state_counts_down_from_horizon(self):
+        # each block starts where the previous one completed, the slot where
+        # its last receiver reached the block size; a block that never
+        # completes rides out the frame
         ch = ChannelModel.homogeneous(0.5, 2)
-        trace = simulate_frame(
-            OptimalPolicy(solve_monotone(9, ch)), 9, 30, ch, RngSpec(4, 1)
-        )
-        used = trace.slots_used()
-        assert trace.slot_state.tolist() == list(range(9, 9 - used, -1))
-        assert trace.slot_block.shape == (used,)
-        assert trace.slot_log.shape == (used, 2)
+        rng = RngSpec(4, 1)
+        trace = simulate_frame(OptimalPolicy(solve_monotone(9, ch)), 9, 30, ch, rng)
+        bits = frame_bits(rng, 9, ch.erasures)
+        assert len(trace.decisions) > 1
+        start = 0
+        for t, k in trace.decisions:
+            assert t == 9 - start
+            done = np.cumsum(bits[start:], axis=0).min(axis=1) >= k
+            start = start + int(done.argmax()) + 1 if done.any() else 9
+        assert trace.slots_used == start
 
 
 class TestEngineAgreement:
@@ -231,8 +239,12 @@ class TestEngineAgreement:
     def test_mid_frame_zero_block_is_rejected(self):
         ch = ChannelModel.homogeneous(0.5, 1)
         table = fixed_table([0, 1, 0, 1], ch)  # plans an empty block at t=2
-        with pytest.raises(ValueError, match="empty block"):
+        with pytest.raises(ValueError, match="empty block mid-frame"):
             monte_carlo_throughput(OptimalPolicy(table), 3, 10, ch, 64, RngSpec(5, 0))
+        # the per-frame engine refuses the same plan: stream 4's first slot
+        # is received, so its first block completes and leaves t=2
+        with pytest.raises(ValueError, match="empty block mid-frame"):
+            simulate_frame(OptimalPolicy(table), 3, 10, ch, RngSpec(5, 4))
 
 
 class TestMonteCarloThroughput:
