@@ -210,10 +210,9 @@ def cmd_region(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
         config.frames, RngSpec(config.seed, 0), axis=config.axis, workers=workers,
     )
     nc, rx = region.stable_nc.astype(int).tolist(), region.stable_retx.astype(int).tolist()
+    grid = region.grid.tolist()
     rows = (
-        (x, y, nc[ix][iy], rx[ix][iy])
-        for ix, x in enumerate(region.grid_x.tolist())
-        for iy, y in enumerate(region.grid_y.tolist())
+        (x, y, nc[ix][iy], rx[ix][iy]) for ix, x in enumerate(grid) for iy, y in enumerate(grid)
     )
     size = region.stable_nc.size
     return (

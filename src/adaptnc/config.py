@@ -38,6 +38,11 @@ KIND_FIELDS = {
 }
 EXPERIMENT_KINDS = tuple(KIND_FIELDS)
 
+# The policy sub-fields a run of each policy kind reads. simulate reads them
+# for the kinds in its policies list, and never policy.kind; learn reads
+# policy.kind and the learning fields. Other sub-fields keep their default.
+POLICY_FIELDS = {"variance": ("sigma2",), "learning": ("delta", "eps_init")}
+
 
 def _require(cond: bool, message: str):
     if not cond:
@@ -99,6 +104,15 @@ def _typed(name: str, value, hint):
 def _default(f):
     """The default value of a dataclass field."""
     return f.default_factory() if f.default is MISSING else f.default
+
+
+def _unread(section, read, prefix: str) -> list:
+    """The fields of a config dataclass outside ``read`` that differ from
+    their default, each named with ``prefix``."""
+    return [
+        prefix + f.name for f in fields(section)
+        if f.name not in read and getattr(section, f.name) != _default(f)
+    ]
 
 
 def _check_types(section, prefix: str):
@@ -274,11 +288,12 @@ class ExperimentConfig:
         if self.kind == "threshold":
             _require(self.t_max >= 2, "threshold requires t_max >= 2")
             _require(self.receivers_max >= 1, "threshold requires receivers_max >= 1")
-        read = ("kind", "seed", "out") + KIND_FIELDS[self.kind]
-        unread = [
-            f.name for f in fields(self)
-            if f.name not in read and getattr(self, f.name) != _default(f)
-        ]
+        unread = _unread(self, ("kind", "seed", "out") + KIND_FIELDS[self.kind], "")
+        if self.kind == "simulate":
+            read = [name for p in self.policies for name in POLICY_FIELDS.get(p, ())]
+            unread += _unread(self.policy, read, "policy.")
+        if self.kind == "learn":
+            unread += _unread(self.policy, ("kind",) + POLICY_FIELDS["learning"], "policy.")
         _require(not unread, f"{self.kind} does not read {', '.join(unread)}: leave them out")
 
 

@@ -30,6 +30,9 @@ from .errors import DivergenceError
 # one that the moments are astronomically large.
 _MAX_SERIES_SLOTS = 5_000_000
 
+# The moment sums stop once a shortfall term drops below this.
+_SERIES_TOL = 1e-9
+
 # log(m!) for m = 0 .. size-1, grown on demand by _log_factorials
 _log_factorial = np.zeros(1)
 
@@ -145,15 +148,15 @@ def completion_pmf(block: int, slots: int, channel: ChannelModel) -> CompletionP
     return CompletionPmf(block=block, horizon=slots, mass=mass, fail=float(1.0 - row[slots]))
 
 
-def _shortfall_series(block: int, channel: ChannelModel, tol: float, weighted: bool) -> float:
+def _shortfall_series(block: int, channel: ChannelModel, weighted: bool) -> float:
     """Sum over t >= block of w(t) * (1 - decode_prob(block, t, channel)).
 
     The weight w(t) is 2t+1 if ``weighted``, else 1. The kernel is evaluated
-    on a slot window that doubles until some term is below ``tol`` at a slot
-    t where the per-slot ratio bound r = max e * (t+1) / (t+2-block) is below
-    one. The series is cut at the first such t and a geometric bound on the
-    rest (a union bound over the receivers) is added, so the truncation never
-    biases the result low.
+    on a slot window that doubles until some term is below _SERIES_TOL at a
+    slot t where the per-slot ratio bound r = max e * (t+1) / (t+2-block) is
+    below one. The series is cut at the first such t and a geometric bound on
+    the rest (a union bound over the receivers) is added, so the truncation
+    never biases the result low.
     """
     if block < 1:
         raise ValueError("block must be at least 1")
@@ -169,7 +172,7 @@ def _shortfall_series(block: int, channel: ChannelModel, tol: float, weighted: b
         short = 1.0 - np.prod(tails ** counts[:, None], axis=0)
         terms = (2 * t + 1) * short if weighted else short
         ratio = eps * (t + 1) / (t + 2 - block)
-        cut = np.flatnonzero((terms < tol) & (ratio.max(axis=0) < 1.0))
+        cut = np.flatnonzero((terms < _SERIES_TOL) & (ratio.max(axis=0) < 1.0))
         if cut.size:
             i = cut[0]
             r = ratio[:, i]
@@ -178,48 +181,25 @@ def _shortfall_series(block: int, channel: ChannelModel, tol: float, weighted: b
             return float(terms[: i + 1].sum() + np.dot(counts, (1.0 - tails[:, i]) * rest))
         if window >= _MAX_SERIES_SLOTS:
             raise DivergenceError(
-                f"moment series did not reach tol={tol} within {_MAX_SERIES_SLOTS} slots"
+                f"moment series did not reach tol={_SERIES_TOL} within {_MAX_SERIES_SLOTS} slots"
             )
         window = min(2 * window, _MAX_SERIES_SLOTS)
 
 
-def expected_completion_time(block: int, channel: ChannelModel, tol: float = 1e-9) -> float:
+def expected_completion_time(block: int, channel: ChannelModel) -> float:
     """Mean number of slots until every receiver decodes a ``block`` block.
 
     Evaluated as block + sum over t >= block of the shortfall probability
     1 - decode_prob(block, t, channel), truncated with a geometric tail bound
-    once the shortfall drops below ``tol``.
+    once the shortfall drops below _SERIES_TOL.
     """
-    return block + _shortfall_series(block, channel, tol, weighted=False)
+    return block + _shortfall_series(block, channel, weighted=False)
 
 
-def completion_second_moment(block: int, channel: ChannelModel, tol: float = 1e-9) -> float:
+def completion_second_moment(block: int, channel: ChannelModel) -> float:
     """Second moment of the block completion time, in slots squared.
 
     Uses E[X^2] = sum_{t>=0} (2t+1) P(X > t), truncated like
     expected_completion_time with a weighted geometric tail bound.
     """
-    return float(block) ** 2 + _shortfall_series(block, channel, tol, weighted=True)
-
-
-def max_block_for_variance(
-    sigma2: float, channel: ChannelModel, ceiling: int, tol: float = 1e-9
-) -> int:
-    """Largest block size whose completion second moment stays below sigma2.
-
-    Returns 0 when even a single-packet block violates the bound (including
-    channels where the moment diverges). The second moment grows with the
-    block size, so the scan stops at the first violation.
-    """
-    if ceiling < 0:
-        raise ValueError("ceiling must be non-negative")
-    best = 0
-    for k in range(1, ceiling + 1):
-        try:
-            v = completion_second_moment(k, channel, tol)
-        except DivergenceError:
-            return best
-        if not v < sigma2:
-            return best
-        best = k
-    return best
+    return float(block) ** 2 + _shortfall_series(block, channel, weighted=True)

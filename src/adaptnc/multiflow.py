@@ -246,7 +246,6 @@ class MultiflowTrace:
     flow_ids: list
     weights: np.ndarray
     arrival_rates: np.ndarray
-    delivery_requirements: np.ndarray
     horizon: int
     rho: float
     intra: str
@@ -348,7 +347,6 @@ def run_online(
         flow_ids=[f.flow_id for f in flows],
         weights=np.array([f.weight for f in flows], dtype=float),
         arrival_rates=np.array([f.arrival_rate for f in flows], dtype=float),
-        delivery_requirements=np.array([f.delivery_ratio for f in flows], dtype=float),
         horizon=horizon,
         rho=rho,
         intra=intra,
@@ -366,9 +364,8 @@ class RegionMap:
     transmission modes."""
 
     axis: str  # which flow field the grid varies: "delivery_ratio" or "arrival_rate"
-    grid_x: np.ndarray  # values applied to the first flow
-    grid_y: np.ndarray  # values applied to the second flow
-    stable_nc: np.ndarray  # (len(grid_x), len(grid_y)) bool
+    grid: np.ndarray  # values applied to the first flow (x) and the second (y)
+    stable_nc: np.ndarray  # (len(grid), len(grid)) bool
     stable_retx: np.ndarray
 
 
@@ -406,7 +403,7 @@ def rate_region_sweep(
         raise ConfigError("region sweep expects exactly two template flows")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    values = np.asarray(grid, dtype=float)
+    values = np.array(grid, dtype=float)
     jobs = []
     for ix, x in enumerate(values):
         for iy, y in enumerate(values):
@@ -431,8 +428,7 @@ def rate_region_sweep(
         stable_retx[ix, iy] = retx_ok
     return RegionMap(
         axis=axis,
-        grid_x=values.copy(),
-        grid_y=values.copy(),
+        grid=values,
         stable_nc=stable_nc,
         stable_retx=stable_retx,
     )

@@ -3,7 +3,8 @@
 Every policy answers one question at each block boundary: with t slots left
 and m undelivered packets, how many packets go into the next coded block?
 Answers are clipped to min(t, m), and 0 means stay silent (only when the
-backlog is empty or the frame is over). The learning policy additionally
+backlog is empty or the frame is over). Every rule but the learning one is a
+plan, one block size per slots-left state; the learning policy instead
 consumes per-slot feedback counts to maintain a running erasure estimate.
 """
 
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .decoding import max_block_for_variance
-from .errors import ConfigError
-from .solver import PolicyTable, conservative_block_size, solve_monotone
+from .decoding import completion_second_moment, expected_completion_time
+from .errors import ConfigError, DivergenceError
+from .solver import PolicyTable, solve_monotone
 
 POLICY_KINDS = ("optimal", "greedy", "conservative", "retransmission", "variance", "learning")
 
@@ -68,9 +69,20 @@ class LearnerState:
 
 
 class BlockPolicy:
-    """Base decision rule. Subclasses implement _choice(t)."""
+    """A decision rule with a plan: one block size per slots-left state.
+
+    ``plan[t]`` is the block committed with t slots left, clipped to t when
+    the policy is built, so the per-frame engine (``decide``) and the batch
+    engine (``decision_vector``) read one vector. A rule without a plan
+    overrides both.
+    """
 
     name = "base"
+
+    def __init__(self, plan):
+        plan = np.minimum(plan, np.arange(len(plan)))
+        plan.flags.writeable = False
+        self.plan = plan
 
     def reset(self):
         """Forget any per-run state (used between independent replications)."""
@@ -84,18 +96,19 @@ class BlockPolicy:
     def decide(self, t: int, backlog: int) -> int:
         if t <= 0 or backlog <= 0:
             return 0
-        return min(self._choice(t), t, backlog)
-
-    def _choice(self, t: int) -> int:
-        raise NotImplementedError
+        return min(int(self.plan[t]), backlog)
 
     def decision_vector(self, horizon: int):
-        """Unclipped choice per state 0..horizon, or None if history-driven."""
-        return None
+        """The plan for states 0..horizon, a copy the caller may keep."""
+        if horizon >= len(self.plan):
+            raise ConfigError(
+                f"{self.name} plan built to horizon {len(self.plan) - 1}, frame needs {horizon}"
+            )
+        return self.plan[: horizon + 1].copy()
 
 
 class TablePolicy(BlockPolicy):
-    """Common base for policies that look decisions up in a solved table."""
+    """Common base for policies whose plan is a column of a solved table."""
 
     column = "k_star"
 
@@ -103,16 +116,7 @@ class TablePolicy(BlockPolicy):
         if table is None:
             raise ConfigError(f"{self.name} policy needs a solved plan table")
         self.table = table
-
-    def _choice(self, t: int) -> int:
-        return int(getattr(self.table, self.column)[t])
-
-    def decision_vector(self, horizon: int):
-        if horizon > self.table.horizon:
-            raise ConfigError(
-                f"table solved to horizon {self.table.horizon}, frame needs {horizon}"
-            )
-        return getattr(self.table, self.column)[: horizon + 1].copy()
+        super().__init__(getattr(table, self.column))
 
 
 class OptimalPolicy(TablePolicy):
@@ -125,12 +129,16 @@ class GreedyPolicy(TablePolicy):
 
 
 class RetransmissionPolicy(BlockPolicy):
-    """Plain repetition: one packet at a time until everyone has it."""
+    """Plain repetition: one packet at a time until everyone has it, on a
+    frame of any length."""
 
     name = "retransmission"
 
-    def _choice(self, t: int) -> int:
-        return 1
+    def __init__(self):
+        """No plan: the rule is the same at every state."""
+
+    def decide(self, t: int, backlog: int) -> int:
+        return 1 if t > 0 and backlog > 0 else 0
 
     def decision_vector(self, horizon: int):
         vec = np.ones(horizon + 1, dtype=int)
@@ -138,27 +146,41 @@ class RetransmissionPolicy(BlockPolicy):
         return vec
 
 
+def _moment_scan(moment, channel: ChannelModel, ceiling: int, fits) -> np.ndarray:
+    """moment(k, channel) for k = 1, 2, .. up to ``ceiling``, while ``fits``
+    holds. The moments grow with k, so the scan stops at the first that does
+    not fit, or at a channel where the moment diverges."""
+    if ceiling < 0:
+        raise ValueError("horizon must be non-negative")
+    moments = []
+    for k in range(1, ceiling + 1):
+        try:
+            m = moment(k, channel)
+        except DivergenceError:
+            break
+        if not fits(m):
+            break
+        moments.append(m)
+    return np.array(moments)
+
+
 class ConservativePolicy(BlockPolicy):
-    """Largest block expected (on average) to finish in the remaining slots."""
+    """Largest block expected (on average) to finish in the remaining slots.
+
+    Falls back to a single packet when not even that is expected to finish,
+    so the frame is never left idle.
+    """
 
     name = "conservative"
 
     def __init__(self, channel: ChannelModel, horizon: int):
-        self.channel = channel
-        self.horizon = horizon
-        vec = np.zeros(horizon + 1, dtype=int)
-        for t in range(1, horizon + 1):
-            vec[t] = conservative_block_size(t, channel)
-        vec.flags.writeable = False
-        self._vec = vec
-
-    def _choice(self, t: int) -> int:
-        return int(self._vec[t])
-
-    def decision_vector(self, horizon: int):
-        if horizon > self.horizon:
-            raise ConfigError(f"conservative plan built to horizon {self.horizon}")
-        return self._vec[: horizon + 1].copy()
+        means = _moment_scan(
+            expected_completion_time, channel, horizon, lambda m: m <= horizon + 1e-9
+        )
+        # plan[t] counts the blocks whose mean fits t slots, at least one;
+        # the clip to t then leaves state 0 silent
+        fitting = np.searchsorted(means, np.arange(horizon + 1) + 1e-9, side="right")
+        super().__init__(np.maximum(fitting, 1))
 
 
 class VarianceConstrainedPolicy(TablePolicy):
@@ -175,7 +197,9 @@ class VarianceConstrainedPolicy(TablePolicy):
     def __init__(self, channel: ChannelModel, horizon: int, sigma2: float):
         check_sigma2(sigma2)
         self.sigma2 = sigma2
-        self.k_cap = max_block_for_variance(sigma2, channel, ceiling=horizon)
+        self.k_cap = len(
+            _moment_scan(completion_second_moment, channel, horizon, lambda v: v < sigma2)
+        )
         super().__init__(solve_monotone(horizon, channel, k_cap=max(1, self.k_cap)))
 
 
@@ -222,6 +246,10 @@ class LearningPolicy(BlockPolicy):
 
     def observe_slot(self, received: int, n_receivers: int):
         self.learner.observe_slot(received, n_receivers)
+
+    def decision_vector(self, horizon: int):
+        """No plan: each decision depends on the slots observed so far."""
+        return None
 
     def planned_table(self) -> PolicyTable:
         eps = round(self.learner.eps_hat / ESTIMATE_GRID) * ESTIMATE_GRID

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .decoding import DecodingTable, expected_completion_time
-from .errors import DivergenceError
+from .decoding import DecodingTable
 from .search import argmax_unimodal, bisect_root, golden_max
 
 
@@ -143,27 +142,7 @@ def solve_monotone(horizon: int, channel: ChannelModel, k_cap=None) -> PolicyTab
     return _solve(channel, horizon, k_cap, windowed=True)
 
 
-def conservative_block_size(t: int, channel: ChannelModel, tol: float = 1e-9) -> int:
-    """Largest block whose mean completion time fits in t slots.
-
-    Falls back to a single packet when not even that is expected to finish,
-    so the frame is never left idle.
-    """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    best = 0
-    for k in range(1, t + 1):
-        try:
-            s = expected_completion_time(k, channel, tol)
-        except DivergenceError:
-            break
-        if s > t + 1e-9:
-            break
-        best = k
-    return max(best, 1)
-
-
-def retransmission_threshold(t: int, n_receivers: int, tol: float = 1e-10) -> float:
+def retransmission_threshold(t: int, n_receivers: int) -> float:
     """Erasure rate above which one-packet blocks beat two-packet blocks.
 
     Compares the single-shot rewards of block sizes one and two with t slots
@@ -183,4 +162,4 @@ def retransmission_threshold(t: int, n_receivers: int, tol: float = 1e-10) -> fl
         return (1.0 - et) - root_n * (1.0 - et + t * et - t * e ** (t - 1))
 
     peak = golden_max(f, 0.0, 1.0)
-    return bisect_root(f, 0.0, peak, tol=tol)
+    return bisect_root(f, 0.0, peak)

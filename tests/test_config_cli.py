@@ -331,6 +331,28 @@ class TestConfigValidation:
         cfg = ExperimentConfig(**region, intra="optimal", replications=10000)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("text, needle", [
+        ("kind: learn\nchannel: {receivers: 2, erasure: 0.2}\n"
+         "policy: {kind: learning, sigma2: 5.0}\n", "learn does not read policy.sigma2"),
+        ("kind: simulate\nchannel: {receivers: 2}\nepsilon_grid: [0.2]\n"
+         "policy: {kind: greedy}\n", "simulate does not read policy.kind"),
+        ("kind: simulate\nchannel: {receivers: 2}\nepsilon_grid: [0.2]\npolicies: [optimal]\n"
+         "policy: {delta: 0.3, sigma2: 4.0}\n", "simulate does not read policy.sigma2, policy.delta"),
+    ])
+    def test_policy_fields_the_run_does_not_read_are_rejected(self, text, needle):
+        with pytest.raises(ConfigError, match=needle):
+            parse_config(text)
+
+    def test_policy_fields_a_run_reads_load(self):
+        simulate = "kind: simulate\nchannel: {receivers: 2}\nepsilon_grid: [0.2]\n"
+        cfg = parse_config(simulate + "policies: [variance, learning]\n"
+                           "policy: {sigma2: 4.0, delta: 0.3, eps_init: 0.2}\n")
+        assert (cfg.policy.sigma2, cfg.policy.delta, cfg.policy.eps_init) == (4.0, 0.3, 0.2)
+        # sub-fields at their defaults are not values the run ignores, so a
+        # saved config.yaml, which lists them, loads again
+        cfg = parse_config(simulate + "policy: {kind: optimal, delta: 0.05, eps_init: 0.5}\n")
+        assert parse_config(serialize_config(cfg)) == cfg
+
     def test_variance_in_policies_needs_sigma2_at_load(self, tmp_path):
         fields = dict(kind="simulate", channel={"receivers": 2}, epsilon_grid=[0.2],
                       policies=["optimal", "variance"], replications=10)
@@ -645,7 +667,7 @@ class TestCliSimulate:
         channel={"receivers": 3},
         epsilon_grid=[0.3, 0.6],
         policies=["optimal", "retransmission", "variance"],
-        policy={"kind": "variance", "sigma2": 30.0},
+        policy={"sigma2": 30.0},
         replications=400,
     )
 

@@ -26,8 +26,8 @@ from adaptnc import (
     completion_second_moment,
     decode_prob,
     decode_prob_single,
+    VarianceConstrainedPolicy,
     expected_completion_time,
-    max_block_for_variance,
     solve_monotone,
 )
 
@@ -419,25 +419,30 @@ class TestCompletionSecondMoment:
 
 
 class TestMaxBlockForVariance:
+    """The variance policy's block cap: the largest block, up to the
+    horizon, whose completion second moment stays below sigma2."""
+
     def test_budget_between_first_two_moments(self):
         # v(1) = 6 < 6.5 while v(2) > 6.5, so exactly one packet fits
         ch = ChannelModel.homogeneous(0.5, 1)
         assert completion_second_moment(2, ch) > 6.5
-        assert max_block_for_variance(6.5, ch, ceiling=10) == 1
+        assert VarianceConstrainedPolicy(ch, 10, sigma2=6.5).k_cap == 1
 
     def test_budget_below_any_block(self):
-        assert max_block_for_variance(0.5, ChannelModel.homogeneous(0.2, 3), ceiling=8) == 0
+        ch = ChannelModel.homogeneous(0.2, 3)
+        assert VarianceConstrainedPolicy(ch, 8, sigma2=0.5).k_cap == 0
 
     def test_inactive_budget_hits_ceiling(self):
         ch = ChannelModel.homogeneous(0.1, 1)
-        assert max_block_for_variance(1e9, ch, ceiling=5) == 5
+        assert VarianceConstrainedPolicy(ch, 5, sigma2=1e9).k_cap == 5
 
     def test_divergent_channel_fits_nothing(self):
-        assert max_block_for_variance(100.0, ChannelModel(erasures=(1.0,)), ceiling=5) == 0
+        ch = ChannelModel(erasures=(1.0,))
+        assert VarianceConstrainedPolicy(ch, 5, sigma2=100.0).k_cap == 0
 
     def test_rejects_negative_ceiling(self):
-        with pytest.raises(ValueError):
-            max_block_for_variance(5.0, ChannelModel.homogeneous(0.5, 1), ceiling=-1)
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            VarianceConstrainedPolicy(ChannelModel.homogeneous(0.5, 1), -1, sigma2=5.0)
 
 
 class TestChannelModel:

@@ -525,7 +525,7 @@ class TestRateRegionSweep:
         flows = [flow(i, lam=3.0, q=0.8) for i in range(2)]
         m = rate_region_sweep(flows, [0.01, 0.98], 10, 0.1, 400, RngSpec(52, 0))
         assert m.axis == "delivery_ratio"
-        assert m.grid_x.tolist() == [0.01, 0.98]
+        assert m.grid.tolist() == [0.01, 0.98]
         # a tiny mutual requirement is met; pushing either flow's requirement
         # past the arrival-limited service of a shared frame breaks it
         want = np.array([[True, False], [False, False]])

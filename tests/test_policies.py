@@ -15,8 +15,8 @@ from adaptnc import (
     PolicyTable,
     RetransmissionPolicy,
     VarianceConstrainedPolicy,
+    completion_second_moment,
     make_policy,
-    max_block_for_variance,
     solve_monotone,
 )
 
@@ -42,6 +42,10 @@ class TestClipping:
     def test_slots_clip_the_plan(self):
         policy = OptimalPolicy(fake_table([0, 3, 3, 3]))
         assert policy.decide(1, 10) == 1
+        # both engines read the one clipped plan
+        assert policy.plan.tolist() == [0, 1, 2, 3]
+        assert policy.decision_vector(3).tolist() == [0, 1, 2, 3]
+        assert not policy.plan.flags.writeable
 
     def test_retransmission_is_always_one(self):
         policy = RetransmissionPolicy()
@@ -93,6 +97,29 @@ class TestDecisionVectors:
         assert vec[0] == 0
         for t in range(1, 9):
             assert policy.decide(t, 100) == min(vec[t], t)
+
+    def test_negative_horizon_rejected(self):
+        ch = ChannelModel.homogeneous(0.3, 2)
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            ConservativePolicy(ch, -1)
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            VarianceConstrainedPolicy(ch, -2, sigma2=5.0)
+
+    def test_conservative_build_evaluates_each_moment_once(self, monkeypatch):
+        from adaptnc import decoding
+
+        series = decoding._shortfall_series
+        blocks = []
+
+        def counted(block, channel, weighted):
+            blocks.append(block)
+            return series(block, channel, weighted)
+
+        monkeypatch.setattr(decoding, "_shortfall_series", counted)
+        policy = ConservativePolicy(ChannelModel.homogeneous(0.4, 5), 50)
+        assert len(blocks) == len(set(blocks))
+        # every block the plan commits, and one more, had its mean evaluated
+        assert blocks == list(range(1, int(policy.plan.max()) + 2))
 
     def test_horizon_overrun_rejected(self):
         table = solve_monotone(5, ChannelModel.homogeneous(0.3, 4))
@@ -246,7 +273,8 @@ class TestVarianceConstrainedPolicy:
     def test_cap_matches_moment_scan(self):
         ch = ChannelModel.homogeneous(0.5, 1)
         policy = VarianceConstrainedPolicy(ch, 10, sigma2=6.5)
-        assert policy.k_cap == max_block_for_variance(6.5, ch, ceiling=10) == 1
+        assert completion_second_moment(1, ch) < 6.5 <= completion_second_moment(2, ch)
+        assert policy.k_cap == 1
         assert (policy.table.k_star[1:] == 1).all()
 
     def test_huge_budget_reproduces_unconstrained_plan(self):

@@ -193,18 +193,24 @@ class TestEngineAgreement:
         # the vectorised scorer must reproduce the per-slot loop exactly on
         # shared random streams, not merely in distribution
         ch = ChannelModel.homogeneous(0.5, 2)
-        policy = OptimalPolicy(solve_monotone(8, ch))
-        reps = 500
-        stepped = np.array(
-            [
-                simulate_frame(policy, 8, 1_000, ch, RngSpec(17, r)).delivered
-                for r in range(reps)
-            ]
-        )
-        summary = monte_carlo_throughput(
-            policy, 8, 1_000, ch, reps, RngSpec(17, 0), keep_samples=True
-        )
-        assert (summary.samples == stepped).all()
+        lossy = ChannelModel.homogeneous(0.3, 2)
+        cases = [
+            (OptimalPolicy(solve_monotone(8, ch)), 8, 1_000, ch, 500),
+            # a plan that proposes more packets than slots left: both engines
+            # must commit the block clipped to the slots
+            (OptimalPolicy(fixed_table([0, 5, 1], lossy)), 2, 5, lossy, 200),
+        ]
+        for policy, horizon, backlog, channel, reps in cases:
+            stepped = np.array(
+                [
+                    simulate_frame(policy, horizon, backlog, channel, RngSpec(17, r)).delivered
+                    for r in range(reps)
+                ]
+            )
+            summary = monte_carlo_throughput(
+                policy, horizon, backlog, channel, reps, RngSpec(17, 0), keep_samples=True
+            )
+            assert (summary.samples == stepped).all(), policy.plan.tolist()
 
     def test_chunked_batches_match_one_big_batch(self):
         ch = ChannelModel.homogeneous(0.3, 2)

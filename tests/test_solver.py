@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from adaptnc import (
     ChannelModel,
+    ConservativePolicy,
     DecodingTable,
-    conservative_block_size,
     expected_completion_time,
     retransmission_threshold,
     solve_bruteforce,
@@ -221,38 +221,49 @@ class TestGreedyBlockSize:
             greedy_block_size(0, ChannelModel.homogeneous(0.5, 1))
 
 
+def block_at(t: int, channel: ChannelModel) -> int:
+    """The conservative plan's block with t slots left, from a plan built to
+    exactly that horizon."""
+    return int(ConservativePolicy(channel, t).plan[t])
+
+
 class TestConservativeBlockSize:
     def test_point_values(self):
         ch1 = ChannelModel.homogeneous(0.5, 1)
         # one packet takes 2 expected slots; two packets take 4 > 2
         assert expected_completion_time(1, ch1) == pytest.approx(2.0, abs=1e-6)
         assert expected_completion_time(2, ch1) > 2.0
-        assert conservative_block_size(2, ch1) == 1
-        assert conservative_block_size(1, ChannelModel.homogeneous(0.0, 1)) == 1
+        assert block_at(2, ch1) == 1
+        assert block_at(1, ChannelModel.homogeneous(0.0, 1)) == 1
 
     def test_fallback_when_nothing_fits(self):
         # the mean completion of even one packet exceeds the horizon, but the
         # baseline still transmits something
         ch = ChannelModel.homogeneous(0.9, 10)
         assert expected_completion_time(1, ch) > 5
-        assert conservative_block_size(5, ch) == 1
+        assert block_at(5, ch) == 1
 
     def test_definition_on_grid(self):
         for eps in (0.1, 0.4):
             for n in (1, 3):
                 ch = ChannelModel.homogeneous(eps, n)
+                plan = ConservativePolicy(ch, 10).plan
                 for t in (1, 3, 6, 10):
-                    k = conservative_block_size(t, ch)
+                    k = int(plan[t])
+                    assert k == block_at(t, ch)
                     assert expected_completion_time(k, ch) <= t + 1e-6 or k == 1
                     if k < t:
                         assert expected_completion_time(k + 1, ch) > t
 
     def test_divergent_channel_falls_back(self):
-        assert conservative_block_size(4, ChannelModel(erasures=(1.0,))) == 1
+        assert block_at(4, ChannelModel(erasures=(1.0,))) == 1
 
     def test_rejects_empty_horizon(self):
-        with pytest.raises(ValueError):
-            conservative_block_size(0, ChannelModel.homogeneous(0.5, 1))
+        # a plan to horizon 0 holds only the silent state; a negative
+        # horizon is an error, as in solve_monotone
+        assert ConservativePolicy(ChannelModel.homogeneous(0.5, 1), 0).plan.tolist() == [0]
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            ConservativePolicy(ChannelModel.homogeneous(0.5, 1), -1)
 
 
 class TestRetransmissionThreshold:
