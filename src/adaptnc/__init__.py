@@ -12,12 +12,9 @@ from .config import (
     serialize_config,
 )
 from .decoding import (
-    CompletionPmf,
     DecodingTable,
-    completion_pmf,
     completion_second_moment,
     decode_prob,
-    decode_prob_single,
     expected_completion_time,
 )
 from .errors import ConfigError, DivergenceError, InvariantViolation
@@ -67,7 +64,6 @@ __all__ = [
     "BlockPolicy",
     "ChannelConfig",
     "ChannelModel",
-    "CompletionPmf",
     "ConfigError",
     "ConservativePolicy",
     "DecodingTable",
@@ -92,11 +88,9 @@ __all__ = [
     "ThroughputSummary",
     "VarianceConstrainedPolicy",
     "allocate_slots",
-    "completion_pmf",
     "completion_second_moment",
     "config_digest",
     "decode_prob",
-    "decode_prob_single",
     "deficit_slope",
     "expected_completion_time",
     "frame_bits",

@@ -75,9 +75,10 @@ def _write_outputs(config: ExperimentConfig, files: dict, lines: list):
 # Each command computes and checks its whole result, then returns its files,
 # {name: (header, rows)}, and the summary lines printed after they are
 # written. Cells are Python scalars, so csv writes every float as its repr.
+# Only the sweep commands in _POOLED take a worker count.
 
 
-def cmd_solve(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
+def cmd_solve(config: ExperimentConfig) -> tuple[dict, list]:
     channel = config.channel.to_model()
     table = solve_monotone(config.horizon, channel)
     k = table.k_star
@@ -144,7 +145,7 @@ def cmd_simulate(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list
     )
 
 
-def cmd_learn(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
+def cmd_learn(config: ExperimentConfig) -> tuple[dict, list]:
     channel = config.channel.to_model()
     backlog = config.backlog if config.backlog is not None else config.horizon
     policy = LearningPolicy(
@@ -181,7 +182,7 @@ def cmd_learn(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
     )
 
 
-def cmd_multiflow(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
+def cmd_multiflow(config: ExperimentConfig) -> tuple[dict, list]:
     trace = run_online(
         [f.to_spec() for f in config.flows], config.frames, config.horizon, config.rho,
         RngSpec(config.seed, 0), intra=config.intra,
@@ -198,8 +199,8 @@ def cmd_multiflow(config: ExperimentConfig, workers: int = 1) -> tuple[dict, lis
         f"flow {fid}: delivery ratio {ratios[i]:.4f}, deficit slope {slopes[i]:+.6f}/frame"
         for i, fid in enumerate(trace.flow_ids)
     ]
-    lines.append(f"weighted throughput: {trace.weighted_throughput(tail=0.5):.4f} "
-                 f"(schedule value {trace.schedule_weighted_throughput(tail=0.5):.4f})")
+    lines.append(f"weighted throughput: {trace.weighted_throughput():.4f} "
+                 f"(schedule value {trace.schedule_weighted_throughput():.4f})")
     header = ("frame", "flow", "s_star", "arrivals", "delivered", "nu_hat")
     return {"multiflow.csv": (header, rows)}, lines
 
@@ -222,7 +223,7 @@ def cmd_region(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
     )
 
 
-def cmd_threshold(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
+def cmd_threshold(config: ExperimentConfig) -> tuple[dict, list]:
     rows = []
     for t in range(2, config.t_max + 1):
         for n in range(1, config.receivers_max + 1):
@@ -255,6 +256,7 @@ _COMMANDS = {
     "region": cmd_region,
     "threshold": cmd_threshold,
 }
+_POOLED = ("simulate", "region")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +292,12 @@ def main(argv=None) -> int:
             config = replace(config, **overrides)
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
-        files, lines = _COMMANDS[args.command](config, workers=args.workers)
+        if args.command in _POOLED:
+            files, lines = _COMMANDS[args.command](config, workers=args.workers)
+        elif args.workers != 1:
+            raise ConfigError(f"{args.command} does not read --workers: leave it out")
+        else:
+            files, lines = _COMMANDS[args.command](config)
         _write_outputs(config, files, lines)
         return 0
     except ConfigError as exc:

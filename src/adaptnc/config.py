@@ -168,11 +168,7 @@ class PolicyConfig:
 
     def __post_init__(self):
         _check_types(self, "policy.")
-        _require(
-            self.kind in POLICY_KINDS,
-            f"policy.kind must be one of {', '.join(POLICY_KINDS)}",
-        )
-        if self.kind == "variance" or self.sigma2 is not None:
+        if self.sigma2 is not None:
             _checked("policy", check_sigma2, self.sigma2)
         _checked("policy", check_learning, self.delta, self.eps_init)
 

@@ -18,7 +18,6 @@ the product of its receivers' probabilities, one power per distinct rate.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,11 +81,6 @@ def _channel_tail(block: int, slots: int, channel: ChannelModel) -> np.ndarray:
     return tail
 
 
-def decode_prob_single(block: int, slots: int, erasure: float) -> float:
-    """Probability one receiver collects ``block`` packets within ``slots``."""
-    return decode_prob(block, slots, ChannelModel((erasure,)))
-
-
 def decode_prob(block: int, slots: int, channel: ChannelModel) -> float:
     """Probability every receiver decodes a ``block``-packet block in ``slots``."""
     return float(_channel_tail(block, slots, channel)[slots])
@@ -117,35 +111,6 @@ class DecodingTable:
         deltas.flags.writeable = False
         self.values = values
         self.deltas = deltas
-
-
-@dataclass(frozen=True)
-class CompletionPmf:
-    """Distribution of slots left over after a block finishes (or does not).
-
-    ``mass[j]`` is the probability the block completes with exactly j slots of
-    the frame remaining, for j = 0 .. horizon-block; ``fail`` is the
-    probability it never completes inside the frame.
-    """
-
-    block: int
-    horizon: int
-    mass: np.ndarray
-    fail: float
-
-    def total_mass(self) -> float:
-        return float(self.mass.sum() + self.fail)
-
-
-def completion_pmf(block: int, slots: int, channel: ChannelModel) -> CompletionPmf:
-    """Completion distribution of a ``block``-packet block started with ``slots`` left."""
-    if block < 1 or block > slots:
-        raise ValueError(f"block {block} outside 1..{slots}")
-    row = _channel_tail(block, slots, channel)
-    # mass[j] = row[slots - j] - row[slots - j - 1], j = 0 .. slots - block
-    mass = np.maximum(np.diff(row[block - 1 :])[::-1], 0.0)
-    mass.flags.writeable = False
-    return CompletionPmf(block=block, horizon=slots, mass=mass, fail=float(1.0 - row[slots]))
 
 
 def _shortfall_series(block: int, channel: ChannelModel, weighted: bool) -> float:

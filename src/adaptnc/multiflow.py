@@ -126,10 +126,11 @@ def allocate_slots(
     deficits,
     rho: float,
     horizon: int,
-    curves: list | None = None,
+    curves: list,
 ) -> np.ndarray:
     """Per-frame slot split maximizing sum_f (w_f/rho + nu_hat_f) * c_f(s_f),
-    where ``deficits`` holds nu_hat, one entry per flow.
+    where ``deficits`` holds nu_hat and ``curves`` the service curve c_f, one
+    entry per flow.
 
     Exact resource-allocation dynamic program over flows (state = slots still
     available, O(flows * horizon^2)), run backwards over the flows as one
@@ -145,8 +146,6 @@ def allocate_slots(
     nu = np.asarray(deficits, dtype=float)
     if len(nu) != len(flows):
         raise ConfigError("deficit vector length must match the flow list")
-    if curves is None:
-        curves = [service_curve(f, horizon) for f in flows]
 
     n_flows = len(flows)
     gains = [
@@ -198,9 +197,9 @@ class StaticDualTrace:
     mu_star: np.ndarray  # (iterations, flows) curve values of the schedule
     nu_hat: np.ndarray  # (iterations, flows) multipliers after each update
 
-    def weighted_value(self, weights, tail: float = 0.5) -> float:
-        """Time-averaged weighted service rate over the trailing fraction."""
-        start = int(len(self.mu_star) * (1.0 - tail))
+    def weighted_value(self, weights) -> float:
+        """Time-averaged weighted service rate over the last half."""
+        start = len(self.mu_star) // 2
         return float((self.mu_star[start:] @ np.asarray(weights, dtype=float)).mean())
 
 
@@ -246,9 +245,6 @@ class MultiflowTrace:
     flow_ids: list
     weights: np.ndarray
     arrival_rates: np.ndarray
-    horizon: int
-    rho: float
-    intra: str
     s_star: np.ndarray  # (frames, flows) allocated slots
     arrivals: np.ndarray  # (frames, flows) packets arrived
     delivered: np.ndarray  # (frames, flows) packets delivered in-frame
@@ -264,22 +260,23 @@ class MultiflowTrace:
         rates = np.where(self.arrival_rates > 0, self.arrival_rates, 1.0)
         return self.delivered.mean(axis=0) / rates
 
-    def weighted_throughput(self, tail: float = 1.0) -> float:
-        """Weighted delivered packets per frame over the trailing fraction."""
-        start = int(self.frames * (1.0 - tail))
+    def weighted_throughput(self) -> float:
+        """Weighted delivered packets per frame over the last half."""
+        start = self.frames // 2
         return float(self.delivered[start:].mean(axis=0) @ self.weights)
 
-    def schedule_weighted_throughput(self, tail: float = 1.0) -> float:
-        """Weighted saturated service value of the realized schedules; the
-        arrival-independent quantity the vanishing-gap property addresses."""
-        start = int(self.frames * (1.0 - tail))
+    def schedule_weighted_throughput(self) -> float:
+        """Weighted saturated service value of the realized schedules over
+        the last half; the arrival-independent quantity the vanishing-gap
+        property addresses."""
+        start = self.frames // 2
         return float(self.schedule_value[start:].mean(axis=0) @ self.weights)
 
     def deficit_slopes(self) -> np.ndarray:
         return np.array([deficit_slope(self.nu_hat[:, i]) for i in range(len(self.flow_ids))])
 
-    def is_stable(self, slope_tol: float = STABILITY_SLOPE) -> bool:
-        return bool((self.deficit_slopes() <= slope_tol).all())
+    def is_stable(self) -> bool:
+        return bool((self.deficit_slopes() <= STABILITY_SLOPE).all())
 
 
 def run_online(
@@ -347,9 +344,6 @@ def run_online(
         flow_ids=[f.flow_id for f in flows],
         weights=np.array([f.weight for f in flows], dtype=float),
         arrival_rates=np.array([f.arrival_rate for f in flows], dtype=float),
-        horizon=horizon,
-        rho=rho,
-        intra=intra,
         s_star=s_star,
         arrivals=arrivals,
         delivered=delivered,

@@ -224,6 +224,8 @@ class LearningPolicy(BlockPolicy):
         eps_init: float = 0.5,
     ):
         check_learning(delta, eps_init)
+        if horizon < 0:
+            raise ValueError("horizon must be non-negative")
         self.n_receivers = n_receivers
         self.horizon = horizon
         self.delta = delta

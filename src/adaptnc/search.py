@@ -35,13 +35,13 @@ def argmax_unimodal(f, lo: int, hi: int) -> int:
     return best
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Abscissa of the maximum of a unimodal ``f`` on [lo, hi]."""
+def golden_max(f, lo: float, hi: float) -> float:
+    """Abscissa of the maximum of a unimodal ``f`` on [lo, hi], to 1e-12."""
     a, b = float(lo), float(hi)
     x1 = a + _INV_GOLDEN2 * (b - a)
     x2 = b - _INV_GOLDEN2 * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > 1e-12:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = b - _INV_GOLDEN2 * (b - a)
@@ -53,8 +53,8 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Root of ``f`` on [lo, hi] by bisection; needs a sign change."""
+def bisect_root(f, lo: float, hi: float) -> float:
+    """Root of ``f`` on [lo, hi] by bisection to 1e-10; needs a sign change."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -62,7 +62,7 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-10) -> float:
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:

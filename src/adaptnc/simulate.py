@@ -26,7 +26,6 @@ class FrameTrace:
     """
 
     horizon: int
-    backlog: int
     decisions: list  # (slots_left, block_size) per committed block
     slots_used: int
     delivered: int
@@ -90,7 +89,6 @@ def simulate_frame(
 
     return FrameTrace(
         horizon=horizon,
-        backlog=backlog,
         decisions=decisions,
         slots_used=s,
         delivered=delivered,
@@ -164,7 +162,6 @@ def monte_carlo_throughput(
     channel: ChannelModel,
     replications: int,
     rng: RngSpec,
-    chunk: int | None = None,
     keep_samples: bool = False,
 ) -> ThroughputSummary:
     """Mean delivered packets per frame over independent replications.
@@ -172,12 +169,14 @@ def monte_carlo_throughput(
     Replication r uses stream rng.stream + r, so results are identical
     whether replications run batched, chunked, or one by one, and any single
     replication can be replayed with simulate_frame for inspection. The
-    batch engine runs ``chunk`` replications at a time; by default as many
-    as fit a fixed memory budget for the frame's slots x receivers.
+    batch engine runs as many replications at a time as fit a fixed memory
+    budget for the frame's slots x receivers.
     Policies that depend on slot history fall back to the per-frame engine
     (with the policy reset between replications); table-driven policies go
     through the batch engine.
     """
+    if horizon < 0 or backlog < 0:
+        raise ValueError("horizon and backlog must be non-negative")
     if replications < 1:
         raise ValueError("need at least one replication")
     k_vec = policy.decision_vector(horizon)
@@ -189,12 +188,11 @@ def monte_carlo_throughput(
             delivered[r] = trace.delivered
     else:
         k_vec = np.asarray(k_vec, dtype=np.int64)
-        if chunk is None:
-            # _batch_delivered holds about 10 bytes per (slot, receiver) of a
-            # replication: bool bits, int32 cumsum, the cumsum copy one block
-            # step indexes out, and its bool comparison
-            per_replication = 10 * (horizon + 1) * channel.n_receivers
-            chunk = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_replication))
+        # _batch_delivered holds about 10 bytes per (slot, receiver) of a
+        # replication: bool bits, int32 cumsum, the cumsum copy one block
+        # step indexes out, and its bool comparison
+        per_replication = 10 * (horizon + 1) * channel.n_receivers
+        chunk = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_replication))
         parts = []
         for lo in range(0, replications, chunk):
             hi = min(lo + chunk, replications)

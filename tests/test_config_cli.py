@@ -238,8 +238,9 @@ class TestConfigValidation:
         # the policy parameters, checked by policies.py
         (dict(kind="solve", channel={"receivers": 2, "erasure": 0.2},
               policy={"kind": "variance", "sigma2": -1.0}), "policy: sigma2 must be > 0"),
+        # solve reads no policy section, whatever its kind
         (dict(kind="solve", channel={"receivers": 2, "erasure": 0.2},
-              policy={"kind": "variance"}), "policy: sigma2 must be > 0"),
+              policy={"kind": "variance"}), "policy: leave them out"),
         (dict(kind="learn", channel={"receivers": 2, "erasure": 0.2},
               policy={"kind": "learning", "delta": -0.1}), "policy: delta must be >= 0"),
         (dict(kind="learn", channel={"receivers": 2, "erasure": 0.2},
@@ -247,7 +248,9 @@ class TestConfigValidation:
         # the value lists imported from multiflow.py and policies.py
         (dict(kind="multiflow", intra="hybrid"), "intra must be one of"),
         (dict(kind="region", axis="weight"), "axis must be one of"),
-        (dict(kind="learn", policy={"kind": "mystery"}), "policy.kind must be one of"),
+        # learn runs only the learning policy
+        (dict(kind="learn", channel={"receivers": 2, "erasure": 0.2},
+              policy={"kind": "mystery"}), "policy.kind: learning"),
     ])
     def test_section_ranges_come_from_the_models(self, fields, needle):
         with pytest.raises(ConfigError, match=needle):
@@ -924,6 +927,13 @@ class TestCliErrorPaths:
         path, _ = write_config(tmp_path, out=str(tmp_path / "run"), **SOLVE_FIELDS)
         assert cli.main(["solve", "--config", str(path), "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_workers_on_a_command_without_a_pool(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, out=str(tmp_path / "run"), **SOLVE_FIELDS)
+        assert cli.main(["solve", "--config", str(path), "--workers", "2"]) == 2
+        assert "solve does not read --workers" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert cli.main(["solve", "--config", str(path), "--workers", "1"]) == 0
 
     def test_argparse_requires_subcommand_and_config(self):
         with pytest.raises(SystemExit):

@@ -19,13 +19,10 @@ from hypothesis import strategies as st
 
 from adaptnc import (
     ChannelModel,
-    CompletionPmf,
     DecodingTable,
     DivergenceError,
-    completion_pmf,
     completion_second_moment,
     decode_prob,
-    decode_prob_single,
     VarianceConstrainedPolicy,
     expected_completion_time,
     solve_monotone,
@@ -81,6 +78,10 @@ def lgamma_single(block: int, slots: int, erasure: float) -> float:
         )
         for j in range(block, slots + 1)
     )
+
+
+def decode_prob_single(block: int, slots: int, erasure: float) -> float:
+    return decode_prob(block, slots, ChannelModel((erasure,)))
 
 
 def immediate_reward(block: int, slots: int, channel: ChannelModel) -> float:
@@ -313,42 +314,24 @@ class TestDecodingTable:
 
 
 class TestCompletionPmf:
+    """DecodingTable.deltas[k, t] is the probability that a block of k
+    packets completes exactly at slot t."""
+
     def test_geometric_example(self):
-        pmf = completion_pmf(1, 2, ChannelModel.homogeneous(0.5, 1))
-        assert pmf.mass[1] == pytest.approx(0.5)  # done at slot 1, one left
-        assert pmf.mass[0] == pytest.approx(0.25)  # done at slot 2, none left
-        assert pmf.fail == pytest.approx(0.25)
-
-    def test_no_slack_single_atom(self):
-        ch = ChannelModel.homogeneous(0.4, 2)
-        pmf = completion_pmf(3, 3, ch)
-        assert len(pmf.mass) == 1
-        assert pmf.mass[0] == pytest.approx(decode_prob(3, 3, ch))
-        assert pmf.fail == pytest.approx(1.0 - decode_prob(3, 3, ch))
-
-    def test_telescoping_sum_identity(self):
-        ch = ChannelModel.homogeneous(0.3, 3)
-        pmf = completion_pmf(2, 6, ch)
-        assert pmf.mass.sum() == pytest.approx(decode_prob(2, 6, ch), abs=1e-12)
-        assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
+        deltas = DecodingTable(ChannelModel.homogeneous(0.5, 1), 2).deltas
+        assert deltas[1, 1] == pytest.approx(0.5)  # done at slot 1, one left
+        assert deltas[1, 2] == pytest.approx(0.25)  # done at slot 2, none left
+        assert 1.0 - deltas[1].sum() == pytest.approx(0.25)  # never done
 
     def test_mass_identity_on_grid(self):
         for eps in (0.1, 0.5, 0.9):
             for n in (1, 3):
-                ch = ChannelModel.homogeneous(eps, n)
+                table = DecodingTable(ChannelModel.homogeneous(eps, n), 11)
+                assert (table.deltas >= 0.0).all()
                 for slots in range(1, 12):
                     for block in range(1, slots + 1):
-                        pmf = completion_pmf(block, slots, ch)
-                        assert (pmf.mass >= 0.0).all()
-                        assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
-                        assert len(pmf.mass) == slots - block + 1
-
-    def test_rejects_block_outside_range(self):
-        ch = ChannelModel.homogeneous(0.5, 1)
-        with pytest.raises(ValueError):
-            completion_pmf(4, 3, ch)
-        with pytest.raises(ValueError):
-            completion_pmf(0, 3, ch)
+                        mass = table.deltas[block, block : slots + 1].sum()
+                        assert mass == pytest.approx(table.values[block, slots], abs=1e-12)
 
 
 class TestImmediateReward:

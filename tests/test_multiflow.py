@@ -286,25 +286,28 @@ class TestAllocateSlots:
         # c(5)+c(5) < c(10), so the zero-deficit argmax is a corner, and the
         # lexicographically smaller corner leaves flow 0 empty-handed
         flows = [flow(0), flow(1)]
-        vals = service_curve(flow(0), 10).values
+        curves = [service_curve(f, 10) for f in flows]
+        vals = curves[0].values
         assert 2 * vals[5] < vals[10]
-        assert allocate_slots(flows, np.zeros(2), 0.1, 10).tolist() == [0, 10]
-        assert allocate_slots(flows, np.array([5.0, 0.0]), 0.1, 10).tolist() == [10, 0]
+        assert allocate_slots(flows, np.zeros(2), 0.1, 10, curves).tolist() == [0, 10]
+        assert allocate_slots(flows, np.array([5.0, 0.0]), 0.1, 10, curves).tolist() == [10, 0]
 
     def test_dead_channel_gets_nothing(self):
         flows = [flow(0, ChannelModel.homogeneous(0.0, 2)), flow(1, ChannelModel.homogeneous(1.0, 2))]
-        got = allocate_slots(flows, np.zeros(2), 0.1, 6)
+        got = allocate_slots(flows, np.zeros(2), 0.1, 6, [service_curve(f, 6) for f in flows])
         assert got.tolist() == [6, 0]
         both_dead = [flow(0, ChannelModel.homogeneous(1.0, 2)), flow(1, ChannelModel.homogeneous(1.0, 2))]
-        assert allocate_slots(both_dead, np.zeros(2), 0.1, 6).tolist() == [0, 0]
+        curves = [service_curve(f, 6) for f in both_dead]
+        assert allocate_slots(both_dead, np.zeros(2), 0.1, 6, curves).tolist() == [0, 0]
 
     def test_validation(self):
         flows = [flow(0), flow(1)]
-        assert allocate_slots([], np.zeros(0), 0.1, 5).shape == (0,)
+        curves = [service_curve(f, 5) for f in flows]
+        assert allocate_slots([], np.zeros(0), 0.1, 5, []).shape == (0,)
         with pytest.raises(ConfigError):
-            allocate_slots(flows, np.zeros(2), 0.0, 5)
+            allocate_slots(flows, np.zeros(2), 0.0, 5, curves)
         with pytest.raises(ConfigError):
-            allocate_slots(flows, np.zeros(3), 0.1, 5)
+            allocate_slots(flows, np.zeros(3), 0.1, 5, curves)
 
 
 class TestDeficitPlumbing:
@@ -474,7 +477,7 @@ class TestRunOnline:
         flows = [flow(0, q=0.0), flow(1, q=0.0)]
         trace = run_online(flows, 50, 10, 0.1, RngSpec(46, 0))
         assert (trace.nu_hat == 0).all()
-        fixed = allocate_slots(flows, np.zeros(2), 0.1, 10)
+        fixed = allocate_slots(flows, np.zeros(2), 0.1, 10, [service_curve(f, 10) for f in flows])
         assert (trace.s_star == fixed).all()
 
     def test_silent_flow_stays_silent(self):
@@ -490,22 +493,24 @@ class TestRunOnline:
         assert trace.nu_hat.max() < 20
         assert (trace.delivery_ratio() > 0.4).all()
 
-    def test_trace_statistics_match_manual_arithmetic(self):
+    def test_trace_statistics_match_manual_arithmetic(self, monkeypatch):
         flows = [flow(0, weight=3.0), flow(1, lam=3.0, q=0.6)]
         trace = run_online(flows, 80, 10, 0.1, RngSpec(48, 0))
         rates = np.array([2.0, 3.0])
         assert np.allclose(trace.delivery_ratio(), trace.delivered.mean(axis=0) / rates)
         w = np.array([3.0, 1.0])
         assert trace.weighted_throughput() == pytest.approx(
-            float(trace.delivered.mean(axis=0) @ w)
+            float(trace.delivered[40:].mean(axis=0) @ w)
         )
-        assert trace.schedule_weighted_throughput(tail=0.5) == pytest.approx(
+        assert trace.schedule_weighted_throughput() == pytest.approx(
             float(trace.schedule_value[40:].mean(axis=0) @ w)
         )
         slopes = trace.deficit_slopes()
         assert slopes.shape == (2,)
-        assert trace.is_stable(slope_tol=float(slopes.max()) + 1e-12)
-        assert not trace.is_stable(slope_tol=float(slopes.min()) - 1e-12)
+        monkeypatch.setattr(multiflow, "STABILITY_SLOPE", float(slopes.max()) + 1e-12)
+        assert trace.is_stable()
+        monkeypatch.setattr(multiflow, "STABILITY_SLOPE", float(slopes.min()) - 1e-12)
+        assert not trace.is_stable()
 
     def test_schedule_value_reads_curves(self):
         flows = [flow(0), flow(1)]

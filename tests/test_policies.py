@@ -104,6 +104,8 @@ class TestDecisionVectors:
             ConservativePolicy(ch, -1)
         with pytest.raises(ValueError, match="horizon must be non-negative"):
             VarianceConstrainedPolicy(ch, -2, sigma2=5.0)
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            LearningPolicy(2, -1)
 
     def test_conservative_build_evaluates_each_moment_once(self, monkeypatch):
         from adaptnc import decoding

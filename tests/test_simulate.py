@@ -212,15 +212,18 @@ class TestEngineAgreement:
             )
             assert (summary.samples == stepped).all(), policy.plan.tolist()
 
-    def test_chunked_batches_match_one_big_batch(self):
+    def test_chunked_batches_match_one_big_batch(self, monkeypatch):
+        from adaptnc import simulate
+
         ch = ChannelModel.homogeneous(0.3, 2)
         policy = OptimalPolicy(solve_monotone(6, ch))
         whole = monte_carlo_throughput(
             policy, 6, 6, ch, 300, RngSpec(8, 0), keep_samples=True
         )
         for chunk in (1, 7, 64, 65536):
+            monkeypatch.setattr(simulate, "_MAX_CHUNK", chunk)
             pieces = monte_carlo_throughput(
-                policy, 6, 6, ch, 300, RngSpec(8, 0), chunk=chunk, keep_samples=True
+                policy, 6, 6, ch, 300, RngSpec(8, 0), keep_samples=True
             )
             assert (whole.samples == pieces.samples).all(), chunk
 
@@ -291,6 +294,13 @@ class TestMonteCarloThroughput:
             monte_carlo_throughput(
                 OptimalPolicy(solve_monotone(4, ch)), 4, 4, ch, 0, RngSpec(2, 0)
             )
+
+    def test_rejects_negative_horizon_and_backlog(self):
+        ch = ChannelModel.homogeneous(0.4, 2)
+        for policy in (OptimalPolicy(solve_monotone(4, ch)), RetransmissionPolicy()):
+            for horizon, backlog in ((-1, 4), (4, -1)):
+                with pytest.raises(ValueError, match="must be non-negative"):
+                    monte_carlo_throughput(policy, horizon, backlog, ch, 8, RngSpec(2, 0))
 
     def test_retransmission_matches_single_packet_planner(self):
         # repeating one packet at a time is the k_cap=1 plan, so its Monte
