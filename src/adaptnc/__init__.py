@@ -36,7 +36,6 @@ from .policies import (
     BlockPolicy,
     ConservativePolicy,
     GreedyPolicy,
-    LearnerState,
     LearningPolicy,
     OptimalPolicy,
     RetransmissionPolicy,
@@ -74,7 +73,6 @@ __all__ = [
     "FrameTrace",
     "GreedyPolicy",
     "InvariantViolation",
-    "LearnerState",
     "LearningPolicy",
     "MultiflowTrace",
     "OptimalPolicy",

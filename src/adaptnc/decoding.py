@@ -99,8 +99,6 @@ class DecodingTable:
     def __init__(self, channel: ChannelModel, horizon: int):
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        self.channel = channel
-        self.horizon = horizon
         values = np.empty((horizon + 1, horizon + 1))
         for k in range(horizon + 1):
             values[k] = _channel_tail(k, horizon, channel)

@@ -208,7 +208,6 @@ def static_dual_iteration(
     horizon: int,
     rho: float,
     iterations: int,
-    intra: str = "optimal",
 ) -> StaticDualTrace:
     """Iterate schedule argmax and multiplier update with mean drift.
 
@@ -221,7 +220,7 @@ def static_dual_iteration(
     if iterations < 1:
         raise ConfigError("need at least one iteration")
     n_flows = len(flows)
-    curves = [service_curve(f, horizon, intra) for f in flows]
+    curves = [service_curve(f, horizon) for f in flows]
     need = np.array([f.arrival_rate * f.delivery_ratio for f in flows])
 
     s_star = np.zeros((iterations, n_flows), dtype=int)

@@ -4,15 +4,14 @@ Every policy answers one question at each block boundary: with t slots left
 and m undelivered packets, how many packets go into the next coded block?
 Answers are clipped to min(t, m), and 0 means stay silent (only when the
 backlog is empty or the frame is over). Every rule but the learning one is a
-plan, one block size per slots-left state; the learning policy instead
-consumes per-slot feedback counts to maintain a running erasure estimate.
+plan, one block size per slots-left state, and keeps no run state. The
+learning policy instead consumes per-slot feedback counts to maintain a
+running erasure estimate, carried across frames until it is reset.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import ChannelModel, check_receivers
 from .decoding import completion_second_moment, expected_completion_time
 from .errors import ConfigError, DivergenceError
 from .solver import PolicyTable, solve_monotone
@@ -38,43 +37,13 @@ def check_learning(delta: float, eps_init: float):
         raise ConfigError(f"eps_init must lie in [0, 1], got {eps_init}")
 
 
-@dataclass
-class LearnerState:
-    """Running erasure estimate built from per-slot reception counts.
-
-    ``eps_hat`` averages the observed per-slot loss ratios together with one
-    pseudo-sample at the initial guess, so the sample observed with t slots
-    left in the first frame enters with weight 1/(T-t+1) and later samples
-    keep shrinking it across frames. ``eps_hat_prev`` is the estimate before
-    the latest slot; ``last_block`` the block size most recently committed.
-    """
-
-    eps_hat: float
-    eps_hat_prev: float
-    last_block: int | None = None
-    slots_observed: int = 0
-
-    def observe_slot(self, received: int, n_receivers: int):
-        if not 0 <= received <= n_receivers:
-            raise ValueError(f"received count {received} outside 0..{n_receivers}")
-        loss = 1.0 - received / n_receivers
-        weight = self.slots_observed + 1  # +1 for the initial pseudo-sample
-        self.eps_hat_prev = self.eps_hat
-        self.eps_hat = (weight * self.eps_hat + loss) / (weight + 1)
-        self.slots_observed += 1
-
-    def shift(self) -> float:
-        """How far the last slot moved the estimate."""
-        return abs(self.eps_hat - self.eps_hat_prev)
-
-
 class BlockPolicy:
     """A decision rule with a plan: one block size per slots-left state.
 
     ``plan[t]`` is the block committed with t slots left, clipped to t when
     the policy is built, so the per-frame engine (``decide``) and the batch
-    engine (``decision_vector``) read one vector. A rule without a plan
-    overrides both.
+    engine (``decision_vector``) read one vector. The learning policy, which
+    has no plan, is the only one to override both.
     """
 
     name = "base"
@@ -83,12 +52,6 @@ class BlockPolicy:
         plan = np.minimum(plan, np.arange(len(plan)))
         plan.flags.writeable = False
         self.plan = plan
-
-    def reset(self):
-        """Forget any per-run state (used between independent replications)."""
-
-    def start_frame(self, horizon: int):
-        """Called when a new frame of ``horizon`` slots begins."""
 
     def observe_slot(self, received: int, n_receivers: int):
         """Per-slot feedback hook; only the learning policy uses it."""
@@ -129,21 +92,14 @@ class GreedyPolicy(TablePolicy):
 
 
 class RetransmissionPolicy(BlockPolicy):
-    """Plain repetition: one packet at a time until everyone has it, on a
-    frame of any length."""
+    """Plain repetition: one packet at a time until everyone has it."""
 
     name = "retransmission"
 
-    def __init__(self):
-        """No plan: the rule is the same at every state."""
-
-    def decide(self, t: int, backlog: int) -> int:
-        return 1 if t > 0 and backlog > 0 else 0
-
-    def decision_vector(self, horizon: int):
-        vec = np.ones(horizon + 1, dtype=int)
-        vec[0] = 0
-        return vec
+    def __init__(self, horizon: int):
+        if horizon < 0:
+            raise ValueError("horizon must be non-negative")
+        super().__init__(np.ones(horizon + 1, dtype=int))
 
 
 def _moment_scan(moment, channel: ChannelModel, ceiling: int, fits) -> np.ndarray:
@@ -196,7 +152,6 @@ class VarianceConstrainedPolicy(TablePolicy):
 
     def __init__(self, channel: ChannelModel, horizon: int, sigma2: float):
         check_sigma2(sigma2)
-        self.sigma2 = sigma2
         self.k_cap = len(
             _moment_scan(completion_second_moment, channel, horizon, lambda v: v < sigma2)
         )
@@ -212,6 +167,12 @@ class LearningPolicy(BlockPolicy):
     by at most one packet per decision (and never shrinks below the previous
     one); once the estimate settles, the candidate is used as is. The first
     block of a run is a single packet, before any feedback exists.
+
+    ``eps_hat`` averages the observed per-slot loss ratios together with one
+    pseudo-sample at ``eps_init``, so the sample observed with t slots left
+    in the first frame enters with weight 1/(T-t+1) and later samples keep
+    shrinking it across frames. ``eps_hat_prev`` is the estimate before the
+    latest slot; ``last_block`` the block size most recently committed.
     """
 
     name = "learning"
@@ -224,37 +185,44 @@ class LearningPolicy(BlockPolicy):
         eps_init: float = 0.5,
     ):
         check_learning(delta, eps_init)
+        check_receivers(n_receivers)
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
         self.n_receivers = n_receivers
         self.horizon = horizon
         self.delta = delta
         self.eps_init = eps_init
-        self.learner = LearnerState(eps_hat=eps_init, eps_hat_prev=eps_init)
         self._tables: dict[float, PolicyTable] = {}
-        # one row per committed block: (frame, t, k, estimate_was_moving)
-        self.decision_log: list[tuple[int, int, int, bool]] = []
-        self._frame = -1
+        self.reset()
 
     def reset(self):
-        self.learner = LearnerState(eps_hat=self.eps_init, eps_hat_prev=self.eps_init)
-        self.decision_log.clear()
-        self._frame = -1
-
-    def start_frame(self, horizon: int):
-        if horizon > self.horizon:
-            raise ConfigError(f"learning plan built to horizon {self.horizon}")
-        self._frame += 1
+        """Forget the run (used between independent replications)."""
+        self.eps_hat = self.eps_hat_prev = self.eps_init
+        self.slots_observed = 0
+        self.last_block = None
+        # one row per committed block: (t, k, estimate_was_moving)
+        self.decision_log: list[tuple[int, int, bool]] = []
 
     def observe_slot(self, received: int, n_receivers: int):
-        self.learner.observe_slot(received, n_receivers)
+        if n_receivers != self.n_receivers:
+            raise ValueError(
+                f"learning policy plans for {self.n_receivers} receivers, "
+                f"the channel has {n_receivers}"
+            )
+        if not 0 <= received <= n_receivers:
+            raise ValueError(f"received count {received} outside 0..{n_receivers}")
+        loss = 1.0 - received / n_receivers
+        weight = self.slots_observed + 1  # +1 for the initial pseudo-sample
+        self.eps_hat_prev = self.eps_hat
+        self.eps_hat = (weight * self.eps_hat + loss) / (weight + 1)
+        self.slots_observed += 1
 
     def decision_vector(self, horizon: int):
         """No plan: each decision depends on the slots observed so far."""
         return None
 
     def planned_table(self) -> PolicyTable:
-        eps = round(self.learner.eps_hat / ESTIMATE_GRID) * ESTIMATE_GRID
+        eps = round(self.eps_hat / ESTIMATE_GRID) * ESTIMATE_GRID
         eps = min(max(eps, 0.0), 1.0)
         if eps not in self._tables:
             channel = ChannelModel.homogeneous(eps, self.n_receivers)
@@ -262,11 +230,13 @@ class LearningPolicy(BlockPolicy):
         return self._tables[eps]
 
     def decide(self, t: int, backlog: int) -> int:
+        if t > self.horizon:
+            raise ConfigError(f"learning plan built to horizon {self.horizon}, frame needs {t}")
         if t <= 0 or backlog <= 0:
             return 0
         planned = int(self.planned_table().k_star[t])
-        moving = self.learner.shift() > self.delta
-        prev = self.learner.last_block
+        moving = abs(self.eps_hat - self.eps_hat_prev) > self.delta
+        prev = self.last_block
         if prev is None:
             k = 1
         elif moving:
@@ -276,8 +246,8 @@ class LearningPolicy(BlockPolicy):
         else:
             k = planned
         k = min(k, t, backlog)
-        self.learner.last_block = k
-        self.decision_log.append((self._frame, t, k, moving))
+        self.last_block = k
+        self.decision_log.append((t, k, moving))
         return k
 
 
@@ -288,16 +258,14 @@ def make_policy(
     sigma2: float | None = None,
     delta: float = 0.05,
     eps_init: float = 0.5,
-    table: PolicyTable | None = None,
 ) -> BlockPolicy:
     """Build a policy by name, solving whatever plan it needs."""
     kind = kind.lower()
     if kind in ("optimal", "greedy"):
-        if table is None:
-            table = solve_monotone(horizon, channel)
+        table = solve_monotone(horizon, channel)
         return OptimalPolicy(table) if kind == "optimal" else GreedyPolicy(table)
     if kind == "retransmission":
-        return RetransmissionPolicy()
+        return RetransmissionPolicy(horizon)
     if kind == "conservative":
         return ConservativePolicy(channel, horizon)
     if kind == "variance":

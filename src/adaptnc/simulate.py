@@ -2,10 +2,11 @@
 
 The reference engine walks one frame slot by slot, feeding the policy and
 recording its block decisions. The batch engine replays the identical
-per-stream channel bits for many replications at once with array
+per-stream channel bits for many replications of a plan at once with array
 arithmetic; for the same (seed, stream) both produce the same delivered
-count, which the tests exploit. All channel randomness flows through RngSpec so the replication
-order never matters.
+count, which the tests exploit. The learning policy has no plan, so it always
+runs through the reference engine. All channel randomness flows through
+RngSpec so the replication order never matters.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .policies import BlockPolicy
+from .policies import BlockPolicy, LearningPolicy
 from .rng import RngSpec, fill_uniform, frame_bits
 
 
@@ -55,7 +56,6 @@ def simulate_frame(
     bits = frame_bits(rng, horizon, channel.erasures)
     rows = bits.astype(np.uint8).tolist()
 
-    policy.start_frame(horizon)
     t, m, s = horizon, backlog, 0
     decisions = []
     delivered = completed = abandoned = 0
@@ -171,9 +171,8 @@ def monte_carlo_throughput(
     replication can be replayed with simulate_frame for inspection. The
     batch engine runs as many replications at a time as fit a fixed memory
     budget for the frame's slots x receivers.
-    Policies that depend on slot history fall back to the per-frame engine
-    (with the policy reset between replications); table-driven policies go
-    through the batch engine.
+    A plan goes through the batch engine; the learning policy, which has no
+    plan, runs frame by frame and is reset between replications.
     """
     if horizon < 0 or backlog < 0:
         raise ValueError("horizon and backlog must be non-negative")
@@ -215,7 +214,7 @@ def monte_carlo_throughput(
 
 
 def learning_run(
-    policy,
+    policy: LearningPolicy,
     frames: int,
     horizon: int,
     channel: ChannelModel,
@@ -235,16 +234,14 @@ def learning_run(
         backlog = horizon
     records = []
     for k in range(frames):
-        mark = len(getattr(policy, "decision_log", ()))
+        mark = len(policy.decision_log)
         trace = simulate_frame(policy, horizon, backlog, channel, rng.shifted(k))
-        log = getattr(policy, "decision_log", ())[mark:]
-        eps_hat = getattr(getattr(policy, "learner", None), "eps_hat", float("nan"))
         records.append(
             {
                 "frame": k,
-                "eps_hat": float(eps_hat),
+                "eps_hat": float(policy.eps_hat),
                 "delivered": trace.delivered,
-                "mode": "ramp" if any(row[3] for row in log) else "stable",
+                "mode": "ramp" if any(row[2] for row in policy.decision_log[mark:]) else "stable",
             }
         )
     return records

@@ -28,16 +28,12 @@ class PolicyTable:
     Arrays are indexed by slots remaining, 0..horizon. ``k_star`` is the
     planned block size (0 at state 0), ``k_greedy`` the single-shot reward
     maximizer, ``value`` the expected packets deliverable from each state.
-    ``k_cap`` records any per-state upper bound the solve honored. ``stats``
-    counts the work done, for the complexity checks.
+    ``stats`` counts the work done, for the complexity checks.
     """
 
-    channel: ChannelModel
-    horizon: int
     k_star: np.ndarray
     k_greedy: np.ndarray
     value: np.ndarray
-    k_cap: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -113,15 +109,7 @@ def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> Policy
         value[t] = best_w
         k_star[t] = best_k
 
-    return PolicyTable(
-        channel=channel,
-        horizon=horizon,
-        k_star=k_star,
-        k_greedy=k_greedy,
-        value=value,
-        k_cap=caps,
-        stats=stats,
-    )
+    return PolicyTable(k_star=k_star, k_greedy=k_greedy, value=value, stats=stats)
 
 
 def solve_bruteforce(horizon: int, channel: ChannelModel, k_cap=None) -> PolicyTable:

@@ -177,7 +177,7 @@ def test_criterion_07_policy_ordering_across_erasure_rates():
         "optimal": lambda ch: OptimalPolicy(solve_monotone(10, ch)),
         "greedy": lambda ch: GreedyPolicy(solve_monotone(10, ch)),
         "conservative": lambda ch: ConservativePolicy(ch, 10),
-        "retransmission": lambda ch: RetransmissionPolicy(),
+        "retransmission": lambda ch: RetransmissionPolicy(10),
     }
     order = ["optimal", "greedy", "conservative", "retransmission"]
     reps = 100_000
@@ -223,7 +223,7 @@ def test_criterion_08_learning_tracks_truth_and_ramps_gently():
         recs = learning_run(fresh, 100, horizon, channel, RngSpec(555, rep * 100))
         late_means.append(np.mean([r["delivered"] for r in recs[10:]]))
         prev = None
-        for _, _, k, moving in fresh.decision_log:
+        for _, k, moving in fresh.decision_log:
             if moving and prev is not None and k > prev + 1:
                 ramp_violations += 1
             prev = k

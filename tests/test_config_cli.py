@@ -19,6 +19,7 @@ from adaptnc import (
     ExperimentConfig,
     FlowConfig,
     InvariantViolation,
+    OptimalPolicy,
     PolicyConfig,
     RngSpec,
     config_digest,
@@ -27,6 +28,7 @@ from adaptnc import (
     rate_region_sweep,
     run_online,
     serialize_config,
+    simulate_frame,
     solve_monotone,
 )
 from adaptnc import cli
@@ -747,6 +749,23 @@ class TestCliLearn:
         perfect = read_csv_lines(tmp_path / "run" / "learn_perfect.csv")
         deliv = lambda lines: [int(l.split(",")[2]) for l in lines[1:]]
         assert deliv(learn) == deliv(perfect) == [4] * 6
+
+    def test_perfect_frames_replay_through_the_frame_engine(self, tmp_path):
+        # frame k of the perfect-information run is the optimal plan on
+        # stream k, the stream the learning run's frame k transmits on
+        channel = {"erasures": [0.2, 0.4, 0.5]}
+        path, cfg = write_config(
+            tmp_path, kind="learn", seed=31, horizon=7, backlog=5, frames=40,
+            channel=channel, policy={"kind": "learning"}, out=str(tmp_path / "run"),
+        )
+        assert cli.main(["learn", "--config", str(path)]) == 0
+        perfect = read_csv_lines(tmp_path / "run" / "learn_perfect.csv")
+        ch = cfg.channel.to_model()
+        policy = OptimalPolicy(solve_monotone(7, ch))
+        replayed = [
+            simulate_frame(policy, 7, 5, ch, RngSpec(31, k)).delivered for k in range(40)
+        ]
+        assert [int(l.split(",")[2]) for l in perfect[1:]] == replayed
 
 
 class TestCliMultiflow:

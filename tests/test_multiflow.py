@@ -171,7 +171,7 @@ class TestIntraPlan:
                 if s > 0 and a > 0:
                     # frame k, flow i transmits on stream 3 + k * flows + i
                     expect = simulate_frame(
-                        RetransmissionPolicy(), s, a, f.channel, rng.shifted(3 + 2 * k + i)
+                        RetransmissionPolicy(s), s, a, f.channel, rng.shifted(3 + 2 * k + i)
                     ).delivered
                 assert trace.delivered[k, i] == expect, (k, i)
         assert trace.delivered.sum() > 0

@@ -9,7 +9,6 @@ from adaptnc import (
     ConfigError,
     ConservativePolicy,
     GreedyPolicy,
-    LearnerState,
     LearningPolicy,
     OptimalPolicy,
     PolicyTable,
@@ -21,17 +20,10 @@ from adaptnc import (
 )
 
 
-def fake_table(k_star, channel=None, horizon=None):
+def fake_table(k_star):
     """Hand-built plan table for exercising decision branches in isolation."""
     k = np.asarray(k_star, dtype=int)
-    horizon = horizon if horizon is not None else len(k) - 1
-    return PolicyTable(
-        channel=channel or ChannelModel.homogeneous(0.5, 2),
-        horizon=horizon,
-        k_star=k,
-        k_greedy=k.copy(),
-        value=np.zeros(len(k)),
-    )
+    return PolicyTable(k_star=k, k_greedy=k.copy(), value=np.zeros(len(k)))
 
 
 class TestClipping:
@@ -48,7 +40,7 @@ class TestClipping:
         assert not policy.plan.flags.writeable
 
     def test_retransmission_is_always_one(self):
-        policy = RetransmissionPolicy()
+        policy = RetransmissionPolicy(9)
         assert policy.decide(9, 7) == 1
         assert policy.decide(1, 1) == 1
 
@@ -59,7 +51,7 @@ class TestClipping:
     def test_zero_on_empty_state(self):
         for policy in (
             OptimalPolicy(fake_table([0, 2, 2])),
-            RetransmissionPolicy(),
+            RetransmissionPolicy(2),
             ConservativePolicy(ChannelModel.homogeneous(0.3, 2), 5),
         ):
             assert policy.decide(0, 5) == 0
@@ -71,7 +63,7 @@ class TestClipping:
             OptimalPolicy(table),
             GreedyPolicy(table),
             ConservativePolicy(ChannelModel.homogeneous(0.2, 5), 10),
-            RetransmissionPolicy(),
+            RetransmissionPolicy(10),
         ]
         for policy in policies:
             for t in range(1, 11):
@@ -88,7 +80,7 @@ class TestDecisionVectors:
         assert (OptimalPolicy(table).decision_vector(5) == table.k_star[:6]).all()
 
     def test_retransmission_vector(self):
-        vec = RetransmissionPolicy().decision_vector(4)
+        vec = RetransmissionPolicy(6).decision_vector(4)
         assert vec.tolist() == [0, 1, 1, 1, 1]
 
     def test_conservative_vector_matches_decisions(self):
@@ -106,6 +98,8 @@ class TestDecisionVectors:
             VarianceConstrainedPolicy(ch, -2, sigma2=5.0)
         with pytest.raises(ValueError, match="horizon must be non-negative"):
             LearningPolicy(2, -1)
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            RetransmissionPolicy(-1)
 
     def test_conservative_build_evaluates_each_moment_once(self, monkeypatch):
         from adaptnc import decoding
@@ -129,6 +123,8 @@ class TestDecisionVectors:
             OptimalPolicy(table).decision_vector(6)
         with pytest.raises(ConfigError):
             ConservativePolicy(ChannelModel.homogeneous(0.3, 2), 5).decision_vector(9)
+        with pytest.raises(ConfigError):
+            RetransmissionPolicy(5).decision_vector(6)
 
     def test_learning_vector_is_history_driven(self):
         assert LearningPolicy(2, 5).decision_vector(5) is None
@@ -139,21 +135,23 @@ class TestDecisionVectors:
 
 
 class TestLearnerState:
+    """The learning policy's running erasure estimate, fed by observe_slot."""
+
     def test_all_received_pulls_estimate_down(self):
-        learner = LearnerState(eps_hat=0.5, eps_hat_prev=0.5)
+        learner = LearningPolicy(n_receivers=10, horizon=5, eps_init=0.5)
         learner.observe_slot(10, 10)
         assert learner.eps_hat == pytest.approx(0.25)  # (1*0.5 + 0.0) / 2
         assert learner.eps_hat_prev == 0.5
-        assert learner.shift() == pytest.approx(0.25)
+        assert learner.slots_observed == 1
 
     def test_single_slot_average(self):
         # one pseudo-sample at 0.5 plus one observed loss ratio of 0.8
-        learner = LearnerState(eps_hat=0.5, eps_hat_prev=0.5)
+        learner = LearningPolicy(n_receivers=10, horizon=5, eps_init=0.5)
         learner.observe_slot(2, 10)
         assert learner.eps_hat == pytest.approx(0.65, abs=1e-15)
 
     def test_constant_rate_converges_to_loss_ratio(self):
-        learner = LearnerState(eps_hat=0.5, eps_hat_prev=0.5)
+        learner = LearningPolicy(n_receivers=10, horizon=5, eps_init=0.5)
         for k in range(1, 101):
             learner.observe_slot(7, 10)
             want = (0.5 + k * 0.3) / (k + 1)
@@ -161,21 +159,27 @@ class TestLearnerState:
         assert abs(learner.eps_hat - 0.3) < 0.002
 
     def test_rejects_bad_counts(self):
-        learner = LearnerState(eps_hat=0.5, eps_hat_prev=0.5)
+        learner = LearningPolicy(n_receivers=10, horizon=5, eps_init=0.5)
         with pytest.raises(ValueError):
             learner.observe_slot(11, 10)
         with pytest.raises(ValueError):
             learner.observe_slot(-1, 10)
+
+    def test_rejects_a_channel_of_another_size(self):
+        learner = LearningPolicy(n_receivers=2, horizon=10)
+        with pytest.raises(ValueError, match="plans for 2 receivers, the channel has 8"):
+            learner.observe_slot(5, 8)
+        assert learner.slots_observed == 0
 
 
 class TestLearningPolicyBranches:
     def make_ramping(self, planned_k, prev, delta=0.05):
         """Policy with a forced plan table, a moving estimate, and history."""
         policy = LearningPolicy(n_receivers=10, horizon=10, delta=delta)
-        eps_key = round(policy.learner.eps_hat / 0.001) * 0.001
+        eps_key = round(policy.eps_hat / 0.001) * 0.001
         policy._tables[eps_key] = fake_table([planned_k] * 11)
-        policy.learner.last_block = prev
-        policy.learner.eps_hat_prev = policy.learner.eps_hat + 2 * delta + 0.01
+        policy.last_block = prev
+        policy.eps_hat_prev = policy.eps_hat + 2 * delta + 0.01
         return policy
 
     def test_first_decision_is_one_packet(self):
@@ -193,7 +197,7 @@ class TestLearningPolicyBranches:
 
     def test_stable_estimate_follows_plan(self):
         policy = self.make_ramping(planned_k=5, prev=2)
-        policy.learner.eps_hat_prev = policy.learner.eps_hat  # settled
+        policy.eps_hat_prev = policy.eps_hat  # settled
         assert policy.decide(10, 10) == 5
 
     def test_ramp_respects_slot_and_backlog_clip(self):
@@ -205,21 +209,22 @@ class TestLearningPolicyBranches:
     def test_decision_log_records_ramp_flag(self):
         policy = self.make_ramping(planned_k=5, prev=2)
         policy.decide(10, 10)
-        frame, t, k, moving = policy.decision_log[-1]
-        assert (t, k, moving) == (10, 3, True)
+        assert policy.decision_log == [(10, 3, True)]
 
     def test_reset_clears_run_state(self):
         policy = self.make_ramping(planned_k=5, prev=2)
         policy.decide(10, 10)
+        policy.observe_slot(3, 10)
         policy.reset()
-        assert policy.learner.eps_hat == policy.eps_init
-        assert policy.learner.last_block is None
+        assert policy.eps_hat == policy.eps_hat_prev == policy.eps_init
+        assert policy.slots_observed == 0
+        assert policy.last_block is None
         assert policy.decision_log == []
 
     def test_frame_overrun_rejected(self):
         policy = LearningPolicy(n_receivers=2, horizon=5)
-        with pytest.raises(ConfigError):
-            policy.start_frame(6)
+        with pytest.raises(ConfigError, match="horizon 5, frame needs 6"):
+            policy.decide(6, 3)
 
 
 class TestLearningPolicyBehavior:
@@ -230,11 +235,10 @@ class TestLearningPolicyBehavior:
         true_eps, n = 0.3, 10
         policy = LearningPolicy(n_receivers=n, horizon=10, delta=0.0, eps_init=true_eps)
         optimal = OptimalPolicy(solve_monotone(10, ChannelModel.homogeneous(true_eps, n)))
-        policy.start_frame(10)
         for _ in range(5):
             policy.observe_slot(7, n)  # loss ratio exactly 0.3
-        assert policy.learner.shift() == 0.0
-        policy.learner.last_block = 1  # past the first-ever block
+        assert policy.eps_hat == policy.eps_hat_prev
+        policy.last_block = 1  # past the first-ever block
         for t in range(1, 11):
             assert policy.decide(t, 100) == optimal.decide(t, 100), t
 
@@ -245,19 +249,17 @@ class TestLearningPolicyBehavior:
         frames, horizon = 100, 100
         policy = LearningPolicy(n_receivers=n, horizon=horizon, delta=0.05)
         gen = np.random.default_rng(411)
-        for _ in range(frames):
-            policy.start_frame(horizon)
-            for _ in range(horizon):
-                policy.observe_slot(int(gen.binomial(n, 1.0 - true_eps)), n)
+        for _ in range(frames * horizon):
+            policy.observe_slot(int(gen.binomial(n, 1.0 - true_eps)), n)
         bound = 3.0 * np.sqrt(true_eps * (1 - true_eps) / (n * frames * horizon))
-        assert abs(policy.learner.eps_hat - true_eps) < bound + 1e-4
+        assert abs(policy.eps_hat - true_eps) < bound + 1e-4
 
     def test_plan_tables_are_cached(self):
         policy = LearningPolicy(n_receivers=3, horizon=6)
         first = policy.planned_table()
         assert policy.planned_table() is first
         # nudging the estimate within half a grid step reuses the same table
-        policy.learner.eps_hat += 0.0004
+        policy.eps_hat += 0.0004
         assert policy.planned_table() is first
 
     def test_parameter_validation(self):
@@ -269,6 +271,10 @@ class TestLearningPolicyBehavior:
             LearningPolicy(n_receivers=2, horizon=5, delta=float("nan"))
         with pytest.raises(ConfigError, match="eps_init"):
             LearningPolicy(n_receivers=2, horizon=5, eps_init=float("nan"))
+
+    def test_rejects_zero_receivers(self):
+        with pytest.raises(ConfigError, match="receivers must be >= 1, got 0"):
+            LearningPolicy(n_receivers=0, horizon=5)
 
 
 class TestVarianceConstrainedPolicy:
@@ -313,12 +319,6 @@ class TestMakePolicy:
             policy = make_policy(kind, ch, 6, sigma2=50.0)
             assert isinstance(policy, cls), kind
             assert policy.name == kind
-
-    def test_reuses_a_supplied_table(self):
-        ch = ChannelModel.homogeneous(0.3, 4)
-        table = solve_monotone(6, ch)
-        assert make_policy("optimal", ch, 6, table=table).table is table
-        assert make_policy("greedy", ch, 6, table=table).table is table
 
     def test_variance_requires_budget(self):
         with pytest.raises(ConfigError):

@@ -21,16 +21,9 @@ from adaptnc import (
 )
 
 
-def fixed_table(k_star, channel, horizon=None):
+def fixed_table(k_star):
     k = np.asarray(k_star, dtype=int)
-    horizon = horizon if horizon is not None else len(k) - 1
-    return PolicyTable(
-        channel=channel,
-        horizon=horizon,
-        k_star=k,
-        k_greedy=k.copy(),
-        value=np.zeros(len(k)),
-    )
+    return PolicyTable(k_star=k, k_greedy=k.copy(), value=np.zeros(len(k)))
 
 
 def rescore_trace(trace, bits) -> int:
@@ -125,7 +118,7 @@ class TestDeterministicChannels:
 
     def test_lossless_two_packet_blocks_complete_in_exactly_k_slots(self):
         ch = ChannelModel.homogeneous(0.0, 2)
-        table = fixed_table([0, 1, 2, 2, 2, 2, 2], ch)
+        table = fixed_table([0, 1, 2, 2, 2, 2, 2])
         trace = simulate_frame(OptimalPolicy(table), 6, 10, ch, RngSpec(1, 0))
         assert trace.delivered == 6
         assert trace.blocks_completed == 3
@@ -198,7 +191,7 @@ class TestEngineAgreement:
             (OptimalPolicy(solve_monotone(8, ch)), 8, 1_000, ch, 500),
             # a plan that proposes more packets than slots left: both engines
             # must commit the block clipped to the slots
-            (OptimalPolicy(fixed_table([0, 5, 1], lossy)), 2, 5, lossy, 200),
+            (OptimalPolicy(fixed_table([0, 5, 1])), 2, 5, lossy, 200),
         ]
         for policy, horizon, backlog, channel, reps in cases:
             stepped = np.array(
@@ -239,7 +232,7 @@ class TestEngineAgreement:
 
         monkeypatch.setattr(simulate, "_batch_delivered", record)
         ch = ChannelModel.homogeneous(0.3, 20)
-        policy = OptimalPolicy(fixed_table([0] + [1] * 100, ch))
+        policy = OptimalPolicy(fixed_table([0] + [1] * 100))
         monte_carlo_throughput(policy, 100, 100, ch, 70_000, RngSpec(9, 0))
         # about 10 bytes per (slot, receiver) of each replication in a chunk
         assert all(size * 10 * 101 * 20 <= simulate._CHUNK_BYTES for size in sizes)
@@ -247,7 +240,7 @@ class TestEngineAgreement:
 
     def test_mid_frame_zero_block_is_rejected(self):
         ch = ChannelModel.homogeneous(0.5, 1)
-        table = fixed_table([0, 1, 0, 1], ch)  # plans an empty block at t=2
+        table = fixed_table([0, 1, 0, 1])  # plans an empty block at t=2
         with pytest.raises(ValueError, match="empty block mid-frame"):
             monte_carlo_throughput(OptimalPolicy(table), 3, 10, ch, 64, RngSpec(5, 0))
         # the per-frame engine refuses the same plan: stream 4's first slot
@@ -297,7 +290,7 @@ class TestMonteCarloThroughput:
 
     def test_rejects_negative_horizon_and_backlog(self):
         ch = ChannelModel.homogeneous(0.4, 2)
-        for policy in (OptimalPolicy(solve_monotone(4, ch)), RetransmissionPolicy()):
+        for policy in (OptimalPolicy(solve_monotone(4, ch)), RetransmissionPolicy(4)):
             for horizon, backlog in ((-1, 4), (4, -1)):
                 with pytest.raises(ValueError, match="must be non-negative"):
                     monte_carlo_throughput(policy, horizon, backlog, ch, 8, RngSpec(2, 0))
@@ -307,7 +300,7 @@ class TestMonteCarloThroughput:
         # Carlo mean must sit on that restricted planner's value
         ch = ChannelModel.homogeneous(0.6, 2)
         value = solve_monotone(5, ch, k_cap=1).value[5]
-        summary = monte_carlo_throughput(RetransmissionPolicy(), 5, 1_000, ch, 4_000, RngSpec(3, 0))
+        summary = monte_carlo_throughput(RetransmissionPolicy(5), 5, 1_000, ch, 4_000, RngSpec(3, 0))
         assert abs(summary.mean - value) < 4 * summary.stderr
 
     def test_history_driven_policy_uses_stepped_engine(self):
@@ -341,14 +334,6 @@ class TestLearningRun:
         records = learning_run(policy, 50, 10, ch, RngSpec(2024, 0))
         assert abs(records[-1]["eps_hat"] - 0.3) < abs(records[0]["eps_hat"] - 0.3)
         assert abs(records[-1]["eps_hat"] - 0.3) < 0.05
-
-    def test_table_policy_has_no_estimate(self):
-        ch = ChannelModel.homogeneous(0.3, 4)
-        records = learning_run(
-            OptimalPolicy(solve_monotone(6, ch)), 5, 6, ch, RngSpec(1, 0)
-        )
-        assert all(np.isnan(r["eps_hat"]) for r in records)
-        assert all(r["mode"] == "stable" for r in records)
 
     def test_determinism(self):
         ch = ChannelModel.homogeneous(0.3, 4)
