@@ -67,6 +67,27 @@ def _is_number(value) -> bool:
         return False
 
 
+def _yaml_float_hint(value) -> str:
+    """The cause, and the fix, when a float field got a string that Python
+    reads as a finite number in exponent form; "" for any other value.
+    YAML 1.1 reads an exponent as a float only with a decimal point and a
+    signed exponent, so ``1e6`` loads as the string '1e6'."""
+    if not isinstance(value, str):
+        return ""
+    mantissa, sep, exponent = value.strip().lower().partition("e")
+    try:
+        if not (sep and math.isfinite(float(value))):
+            return ""
+    except ValueError:
+        return ""
+    if "." not in mantissa:
+        mantissa += ".0"
+    if exponent[0] not in "+-":
+        exponent = "+" + exponent
+    return (f" (YAML 1.1 reads an exponent without a decimal point or sign as a string:"
+            f" write {mantissa}e{exponent})")
+
+
 _TYPE_CHECKS = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a finite number", _is_number),
@@ -97,7 +118,9 @@ def _typed(name: str, value, hint):
         items = tuple(_typed(f"{name} entry", v, item) for v in value)
         return tuple(float(v) for v in items) if item is float else items
     noun, ok = _TYPE_CHECKS[hint]
-    _require(ok(value), f"{name} must be {noun}, got {value!r}")
+    if not ok(value):
+        cause = _yaml_float_hint(value) if hint is float else ""
+        raise ConfigError(f"{name} must be {noun}, got {value!r}{cause}")
     return value
 
 

@@ -71,44 +71,52 @@ def _decode_tail(block: int, slots: int, erasure: float) -> np.ndarray:
     return tail
 
 
-def _channel_tail(block: int, slots: int, channel: ChannelModel) -> np.ndarray:
-    """P(every receiver holds ``block`` packets after t slots) for t = 0 .. slots."""
-    if block < 0 or slots < 0:
-        raise ValueError("block and slots must be non-negative")
+def _channel_tail(block: int, slots: int, rates) -> np.ndarray:
+    """P(every receiver holds ``block`` packets after t slots) for t = 0 .. slots.
+
+    ``rates`` holds the channel's (erasure, receiver count) pairs. A factor
+    below 2**(-1100 / count) has a power below 2**-1100, which rounds to
+    exactly 0 (the smallest subnormal is 2**-1074). Such factors also send
+    libm's ``pow`` down its slow path, so they are zeroed without calling it;
+    one receiver's tail never decreases in t, so they form a prefix.
+    """
     tail = np.ones(slots + 1)
-    for eps, count in Counter(channel.erasures).items():
-        tail *= _decode_tail(block, slots, eps) ** count
+    for eps, count in rates:
+        part = _decode_tail(block, slots, eps)
+        cut = np.searchsorted(part, 2.0 ** (-1100 / count))
+        part[:cut] = 0.0
+        part[cut:] **= count
+        tail *= part
     return tail
 
 
 def decode_prob(block: int, slots: int, channel: ChannelModel) -> float:
     """Probability every receiver decodes a ``block``-packet block in ``slots``."""
-    return float(_channel_tail(block, slots, channel)[slots])
+    if block < 0 or slots < 0:
+        raise ValueError("block and slots must be non-negative")
+    return float(_channel_tail(block, slots, Counter(channel.erasures).items())[slots])
 
 
 class DecodingTable:
     """All block decode probabilities of one channel up to a slot horizon.
 
     ``values[k, t]`` is decode_prob(k, t, channel) for 0 <= k, t <= horizon,
-    with values[0, :] = 1 and values[k, t] = 0 for k > t. ``deltas[k, t]``
-    holds values[k, t] - values[k, t-1], the probability the block completes
-    exactly at slot t; both arrays are frozen after construction.
+    with values[0, :] = 1 and values[k, t] = 0 for k > t; it is frozen after
+    construction. The probability that a block of k packets completes exactly
+    at slot t is values[k, t] - values[k, t-1]; the solver takes these
+    differences on the rows it reads, so no second dense array is kept.
     """
 
     @np.errstate(over="raise", divide="raise", invalid="raise")
     def __init__(self, channel: ChannelModel, horizon: int):
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
+        rates = Counter(channel.erasures).items()
         values = np.empty((horizon + 1, horizon + 1))
         for k in range(horizon + 1):
-            values[k] = _channel_tail(k, horizon, channel)
-        deltas = np.empty_like(values)
-        deltas[:, 0] = values[:, 0]
-        np.subtract(values[:, 1:], values[:, :-1], out=deltas[:, 1:])
+            values[k] = _channel_tail(k, horizon, rates)
         values.flags.writeable = False
-        deltas.flags.writeable = False
         self.values = values
-        self.deltas = deltas
 
 
 def _shortfall_series(block: int, channel: ChannelModel, weighted: bool) -> float:

@@ -56,17 +56,22 @@ class BlockPolicy:
     def observe_slot(self, received: int, n_receivers: int):
         """Per-slot feedback hook; only the learning policy uses it."""
 
+    def _check_horizon(self, horizon: int):
+        """Both engines fail alike on a frame longer than the plan."""
+        if horizon >= len(self.plan):
+            raise ConfigError(
+                f"{self.name} plan built to horizon {len(self.plan) - 1}, frame needs {horizon}"
+            )
+
     def decide(self, t: int, backlog: int) -> int:
+        self._check_horizon(t)
         if t <= 0 or backlog <= 0:
             return 0
         return min(int(self.plan[t]), backlog)
 
     def decision_vector(self, horizon: int):
         """The plan for states 0..horizon, a copy the caller may keep."""
-        if horizon >= len(self.plan):
-            raise ConfigError(
-                f"{self.name} plan built to horizon {len(self.plan) - 1}, frame needs {horizon}"
-            )
+        self._check_horizon(horizon)
         return self.plan[: horizon + 1].copy()
 
 

@@ -10,8 +10,17 @@ Two solvers produce identical tables: an exhaustive one that scans every
 feasible block size at every state, and a windowed one that exploits the
 monotone structure of the optimum (the optimal block size never shrinks as
 the deadline recedes, and never exceeds the single-shot greedy choice).
+
+The windowed scan also stops at the physical ceiling. No receiver hears more
+than a (1 - e) share of the slots, so no plan delivers more than
+(1 - max e) t packets from state t. Once the best block found reaches that
+ceiling to within a relative 1e-13, no later block can beat it by the 1e-12
+tie margin, so none can win. A single receiver or a lossless channel reaches
+the ceiling with its first candidate, so those solves take one Bellman
+evaluation per state instead of a window that grows with t.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +37,10 @@ class PolicyTable:
     Arrays are indexed by slots remaining, 0..horizon. ``k_star`` is the
     planned block size (0 at state 0), ``k_greedy`` the single-shot reward
     maximizer, ``value`` the expected packets deliverable from each state.
-    ``stats`` counts the work done, for the complexity checks.
+    ``stats`` counts the work done, for the complexity checks:
+    ``bellman_evals`` the Bellman evaluations actually made (the windowed
+    scan stops early at the ceiling), ``reward_evals`` the single-shot
+    rewards the greedy search probed.
     """
 
     k_star: np.ndarray
@@ -60,25 +72,34 @@ def _state_bound(t: int, caps) -> int:
     return max(1, bound)
 
 
-def _bellman_value(table: DecodingTable, value: np.ndarray, t: int, k: int) -> float:
+def _bellman_value(probs: np.ndarray, down: np.ndarray, t: int, k: int) -> float:
     """Expected packets from state t when committing k packets now: the
-    immediate reward plus the value of the slots typically left over."""
-    cont = float(np.dot(table.deltas[k, k : t + 1], value[t - k :: -1]))
-    return k * float(table.values[k, t]) + cont
+    immediate reward plus the value of the slots typically left over.
+
+    ``down`` holds the values of states t, t-1, .., 0, so ``down[j]`` is
+    what is left when the block completes exactly at slot j.
+    """
+    row = probs[k]
+    done = np.subtract(row[k : t + 1], row[k - 1 : t])  # P(completes at slot k..t)
+    return k * float(row[t]) + float(np.dot(done, down[k:]))
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> PolicyTable:
     caps = _cap_vector(k_cap, horizon)
-    table = DecodingTable(channel, horizon)
+    probs = DecodingTable(channel, horizon).values
     value = np.zeros(horizon + 1)
+    # back[horizon - s] = value[s], so the values of states t down to 0 are
+    # the contiguous tail back[horizon - t:] and need no reversed copy
+    back = np.zeros(horizon + 1)
     k_star = np.zeros(horizon + 1, dtype=int)
     k_greedy = np.zeros(horizon + 1, dtype=int)
     stats = {"bellman_evals": 0, "reward_evals": 0}
+    top = 1.0 - channel.worst_erasure()
 
     for t in range(1, horizon + 1):
         bound = _state_bound(t, caps)
-        row = table.values[:, t]
+        row = probs[:, t]
 
         def reward(k):
             stats["reward_evals"] += 1
@@ -91,22 +112,25 @@ def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> Policy
             hi = min(bound, int(k_greedy[t]))
             if lo > hi:
                 lo = hi
+            ceiling = top * t * (1.0 - 1e-13)
         else:
             lo, hi = 1, bound
+            ceiling = math.inf
 
-        best_k = lo
-        best_w = _bellman_value(table, value, t, lo)
-        stats["bellman_evals"] += 1
-        for k in range(lo + 1, hi + 1):
-            w = _bellman_value(table, value, t, k)
-            stats["bellman_evals"] += 1
+        down = back[horizon - t :]
+        k = best_k = lo
+        best_w = _bellman_value(probs, down, t, lo)
+        while k < hi and best_w < ceiling:
+            k += 1
+            w = _bellman_value(probs, down, t, k)
             # strictly better only beyond float noise: candidate values can
             # differ by less than one ulp of the value scale (e.g. two block
             # sizes whose outcomes differ only on near-impossible slot
             # patterns), and such ties must resolve to the smaller block
             if w > best_w + 1e-12 * (1.0 + abs(best_w)):
                 best_w, best_k = w, k
-        value[t] = best_w
+        stats["bellman_evals"] += k - lo + 1
+        value[t] = back[horizon - t] = best_w
         k_star[t] = best_k
 
     return PolicyTable(k_star=k_star, k_greedy=k_greedy, value=value, stats=stats)

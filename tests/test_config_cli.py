@@ -4,6 +4,7 @@ worker counts."""
 
 import json
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -310,6 +311,24 @@ class TestConfigValidation:
         ):
             with pytest.raises(ConfigError, match=needle):
                 parse_config(text)
+
+    @pytest.mark.parametrize("written, fix, number", [
+        ("1e6", "1.0e+6", 1e6),
+        ("2.5E3", "2.5e+3", 2500.0),
+        ("-3e2", "-3.0e+2", -300.0),
+    ])
+    def test_yaml_exponent_strings_name_the_cause(self, written, fix, number):
+        # YAML 1.1 loads these as strings; the message says how to write a float
+        entry = f"{{flow_id: 0, arrival_rate: {written}, channel: {{receivers: 2, erasure: 0.2}}}}"
+        with pytest.raises(ConfigError, match=re.escape(
+            f"flows.arrival_rate must be a finite number, got '{written}'"
+        )) as err:
+            parse_config(f"kind: multiflow\nflows: [{entry}]\n")
+        assert f"write {fix})" in str(err.value)
+        assert yaml.safe_load(f"x: {fix}") == {"x": number}
+        # a string that is no number keeps the plain message
+        with pytest.raises(ConfigError, match=r"got 'fast'$"):
+            parse_config(f"kind: multiflow\nflows: [{entry.replace(written, 'fast')}]\n")
 
     def test_ints_are_numbers_and_kept_as_given(self):
         text = ("kind: multiflow\nrho: 1\nflows:\n- {flow_id: 0, arrival_rate: 2, weight: 3, "

@@ -10,6 +10,7 @@ computed independently and against negative-binomial closed forms.
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,13 @@ from adaptnc import (
     expected_completion_time,
     solve_monotone,
 )
+from adaptnc.decoding import _decode_tail
+
+
+def completion_pmf(table: DecodingTable) -> np.ndarray:
+    """Entry [k, t]: the probability a block of k packets completes exactly
+    at slot t, values[k, t] - values[k, t-1] (values[k, 0] at t = 0)."""
+    return np.diff(table.values, axis=1, prepend=0.0)
 
 
 def exact_single(block: int, slots: int, erasure: Fraction) -> Fraction:
@@ -203,7 +211,7 @@ class TestLongHorizons:
         # hears everything leaves the other receivers' probabilities as they are
         deaf = DecodingTable(ChannelModel(erasures=(0.0, 0.85, 1.0)), 1100)
         assert (deaf.values[0] == 1.0).all()
-        assert (deaf.values[1:] == 0.0).all() and (deaf.deltas[1:] == 0.0).all()
+        assert (deaf.values[1:] == 0.0).all() and (completion_pmf(deaf)[1:] == 0.0).all()
         table = DecodingTable(ChannelModel(erasures=(0.0, 0.85)), 600)
         assert table.values[80, 600] == pytest.approx(
             lgamma_single(80, 600, 0.85), rel=1e-9
@@ -299,7 +307,7 @@ class TestDecodingTable:
 
     def test_deltas_telescope(self):
         table = DecodingTable(ChannelModel.homogeneous(0.35, 2), 10)
-        rebuilt = np.cumsum(table.deltas, axis=1)
+        rebuilt = np.cumsum(completion_pmf(table), axis=1)
         assert np.allclose(rebuilt, table.values, atol=1e-12)
 
     def test_reward_and_immutability(self):
@@ -312,13 +320,30 @@ class TestDecodingTable:
         with pytest.raises(ValueError):
             DecodingTable(ChannelModel.homogeneous(0.5, 1), -1)
 
+    @pytest.mark.parametrize("horizon, erasures", [
+        (2000, (0.5,) * 20),
+        (1100, (0.0, 0.85, 1.0)),
+    ])
+    def test_values_are_the_plain_product_bitwise(self, horizon, erasures):
+        # the table skips pow where the power is certain to be 0; every
+        # entry must still equal the product of plain powers, bit for bit
+        plain = np.empty((horizon + 1, horizon + 1))
+        for k in range(horizon + 1):
+            tail = np.ones(horizon + 1)
+            for eps, count in Counter(erasures).items():
+                tail *= _decode_tail(k, horizon, eps) ** count
+            plain[k] = tail
+        table = DecodingTable(ChannelModel(erasures=erasures), horizon)
+        assert np.array_equal(table.values, plain)
+        assert not hasattr(table, "deltas")
+
 
 class TestCompletionPmf:
-    """DecodingTable.deltas[k, t] is the probability that a block of k
+    """values[k, t] - values[k, t-1] is the probability that a block of k
     packets completes exactly at slot t."""
 
     def test_geometric_example(self):
-        deltas = DecodingTable(ChannelModel.homogeneous(0.5, 1), 2).deltas
+        deltas = completion_pmf(DecodingTable(ChannelModel.homogeneous(0.5, 1), 2))
         assert deltas[1, 1] == pytest.approx(0.5)  # done at slot 1, one left
         assert deltas[1, 2] == pytest.approx(0.25)  # done at slot 2, none left
         assert 1.0 - deltas[1].sum() == pytest.approx(0.25)  # never done
@@ -327,10 +352,11 @@ class TestCompletionPmf:
         for eps in (0.1, 0.5, 0.9):
             for n in (1, 3):
                 table = DecodingTable(ChannelModel.homogeneous(eps, n), 11)
-                assert (table.deltas >= 0.0).all()
+                deltas = completion_pmf(table)
+                assert (deltas >= 0.0).all()
                 for slots in range(1, 12):
                     for block in range(1, slots + 1):
-                        mass = table.deltas[block, block : slots + 1].sum()
+                        mass = deltas[block, block : slots + 1].sum()
                         assert mass == pytest.approx(table.values[block, slots], abs=1e-12)
 
 

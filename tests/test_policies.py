@@ -13,9 +13,12 @@ from adaptnc import (
     OptimalPolicy,
     PolicyTable,
     RetransmissionPolicy,
+    RngSpec,
     VarianceConstrainedPolicy,
     completion_second_moment,
     make_policy,
+    monte_carlo_throughput,
+    simulate_frame,
     solve_monotone,
 )
 
@@ -70,6 +73,27 @@ class TestClipping:
                 for m in range(1, 13):
                     d = policy.decide(t, m)
                     assert 1 <= d <= min(t, m), (policy.name, t, m)
+
+
+class TestFrameLongerThanPlan:
+    """A plan built to horizon 3 played on a 5-slot frame: the per-frame
+    and batch engines raise the same error, naming both horizons."""
+
+    @pytest.mark.parametrize("build", [
+        lambda ch: OptimalPolicy(solve_monotone(3, ch)),
+        lambda ch: RetransmissionPolicy(3),
+    ])
+    def test_both_engines_raise_config_error(self, build):
+        ch = ChannelModel.homogeneous(0.3, 2)
+        policy = build(ch)
+        want = f"{policy.name} plan built to horizon 3, frame needs 5"
+        with pytest.raises(ConfigError, match=want):
+            simulate_frame(policy, 5, 5, ch, RngSpec(3, 0))
+        with pytest.raises(ConfigError, match=want):
+            monte_carlo_throughput(policy, 5, 5, ch, 4, RngSpec(3, 0))
+        with pytest.raises(ConfigError, match=want):
+            policy.decide(5, 1)
+        assert policy.decide(3, 5) == 1
 
 
 class TestDecisionVectors:

@@ -3,6 +3,7 @@ windowed solver against exhaustive search, structural monotonicity, the
 greedy/conservative baselines, and the retransmission threshold."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -38,6 +39,64 @@ def greedy_block_size(t: int, channel, k_cap: int | None = None) -> int:
     bound = max(1, min(t, k_cap)) if k_cap is not None else t
     row = DecodingTable(channel, t).values[:, t]
     return argmax_unimodal(lambda k: k * row[k], 1, bound)
+
+
+def _reference_solve(horizon: int, channel, k_cap=None):
+    """The windowed solve without the ceiling stop: every block in the
+    window [max(1, k_star[t-1]), min(bound, k_greedy[t])] is evaluated, on a
+    dense table of completion probabilities, with the continuation read as
+    the reversed view value[t-k::-1]."""
+    values = DecodingTable(channel, horizon).values
+    deltas = np.diff(values, axis=1, prepend=0.0)
+    caps = None if k_cap is None else np.broadcast_to(np.asarray(k_cap, dtype=int), (horizon + 1,))
+    value = np.zeros(horizon + 1)
+    k_star = np.zeros(horizon + 1, dtype=int)
+    k_greedy = np.zeros(horizon + 1, dtype=int)
+    for t in range(1, horizon + 1):
+        bound = max(1, t if caps is None else min(t, int(caps[t])))
+        row = values[:, t]
+        k_greedy[t] = argmax_unimodal(lambda k: k * row[k], 1, bound)
+        hi = min(bound, int(k_greedy[t]))
+        lo = min(max(1, int(k_star[t - 1])), hi)
+        best_k, best_w = lo, None
+        for k in range(lo, hi + 1):
+            w = k * float(values[k, t]) + float(np.dot(deltas[k, k : t + 1], value[t - k :: -1]))
+            if best_w is None or w > best_w + 1e-12 * (1.0 + abs(best_w)):
+                best_w, best_k = w, k
+        value[t] = best_w
+        k_star[t] = best_k
+    return k_star, k_greedy, value
+
+
+def _oracle_cases(count: int, seed: int):
+    """Seeded channels and caps: single receivers, lossless and deaf
+    receivers, heterogeneous channels, channels just below the ceiling,
+    scalar and per-state caps, T <= 300."""
+    rng = random.Random(seed)
+    for i in range(count):
+        horizon = rng.choice([1, 2, 3, 5, 8, 13, 30, 60, 120, 300])
+        shape = i % 5
+        if shape == 0:
+            erasures = (rng.random(),)
+        elif shape == 1:
+            erasures = (rng.choice([0.0, 1.0]),) * rng.randint(1, 4)
+        elif shape == 2:
+            erasures = tuple(rng.random() for _ in range(rng.randint(2, 6))) + (1.0,)
+        elif shape == 3:
+            # a nearly lossless receiver beside a weak one: values come
+            # within 1e-6 of the ceiling without reaching it
+            erasures = (rng.uniform(0.3, 0.7), rng.random() * 1e-5)
+        else:
+            erasures = tuple(
+                rng.choice([0.0, rng.random(), rng.random()]) for _ in range(rng.randint(1, 8))
+            )
+        cap = None
+        if i % 7 == 3:
+            cap = rng.randint(0, 12)
+        elif i % 7 == 5:
+            step = rng.randint(2, 9)
+            cap = np.array([1 + t // step for t in range(horizon + 1)])
+        yield horizon, ChannelModel(erasures=erasures), cap
 
 
 class TestHandDerivedTable:
@@ -90,14 +149,42 @@ class TestOracleEquivalence:
 
     def test_windowed_evaluation_count_matches_window_arithmetic(self):
         # the windowed solver must touch exactly the advertised action window
-        # [max(1, K*_{t-1}), min(K_hat_t, t)] at every state
-        table = solve_monotone(20, ChannelModel.homogeneous(0.2, 5))
-        expected = 0
-        for t in range(1, 21):
-            lo = max(1, int(table.k_star[t - 1]))
-            hi = min(t, int(table.k_greedy[t]))
-            expected += max(hi, lo) - lo + 1
-        assert table.stats["bellman_evals"] == expected
+        # [max(1, K*_{t-1}), min(K_hat_t, t)] at every state, up to the first
+        # block whose value reaches the (1 - max e) t ceiling: the scan stops
+        # there, and that block is the state's optimum
+        for eps, n in ((0.2, 5), (0.3, 1), (0.0, 3)):
+            table = solve_monotone(20, ChannelModel.homogeneous(eps, n))
+            expected = 0
+            for t in range(1, 21):
+                lo = max(1, int(table.k_star[t - 1]))
+                hi = min(t, int(table.k_greedy[t]))
+                if table.value[t] >= (1.0 - eps) * t * (1.0 - 1e-13):
+                    hi = int(table.k_star[t])
+                expected += max(hi, lo) - lo + 1
+            assert table.stats["bellman_evals"] == expected, (eps, n)
+
+    def test_matches_reference_solve_bitwise(self):
+        # the ceiling stop, the contiguous continuation and the per-row
+        # completion probabilities change no bit of any table
+        for horizon, ch, cap in _oracle_cases(220, seed=11):
+            table = solve_monotone(horizon, ch, k_cap=cap)
+            k_star, k_greedy, value = _reference_solve(horizon, ch, k_cap=cap)
+            where = (horizon, ch.erasures, cap)
+            assert np.array_equal(table.k_star, k_star), where
+            assert np.array_equal(table.k_greedy, k_greedy), where
+            assert np.array_equal(table.value, value), where
+
+    def test_single_receiver_solve_is_linear(self):
+        # one receiver reaches the ceiling with one-packet blocks, so each
+        # state takes one Bellman evaluation
+        ch = ChannelModel.homogeneous(0.75, 1)
+        table = solve_monotone(1000, ch)
+        k_star, k_greedy, value = _reference_solve(1000, ch)
+        assert table.stats["bellman_evals"] == 1000
+        assert np.array_equal(table.k_star, k_star)
+        assert np.array_equal(table.k_greedy, k_greedy)
+        assert np.array_equal(table.value, value)
+        assert solve_monotone(2000, ChannelModel.homogeneous(0.1, 1)).stats["bellman_evals"] == 2000
 
     def test_windowed_fewer_evaluations(self):
         ch = ChannelModel.homogeneous(0.3, 5)
