@@ -42,8 +42,9 @@ class BlockPolicy:
 
     ``plan[t]`` is the block committed with t slots left, clipped to t when
     the policy is built, so the per-frame engine (``decide``) and the batch
-    engine (``decision_vector``) read one vector. The learning policy, which
-    has no plan, is the only one to override both.
+    engine (``decision_vector``) read one vector; ``horizon`` is the longest
+    frame it plans for. The learning policy, which has no plan, is the only
+    one to override both.
     """
 
     name = "base"
@@ -52,26 +53,28 @@ class BlockPolicy:
         plan = np.minimum(plan, np.arange(len(plan)))
         plan.flags.writeable = False
         self.plan = plan
+        self.horizon = len(plan) - 1
 
     def observe_slot(self, received: int, n_receivers: int):
         """Per-slot feedback hook; only the learning policy uses it."""
 
-    def _check_horizon(self, horizon: int):
-        """Both engines fail alike on a frame longer than the plan."""
-        if horizon >= len(self.plan):
+    def check_horizon(self, horizon: int):
+        """Both engines fail alike on a frame longer than the plan, whatever
+        the backlog."""
+        if horizon > self.horizon:
             raise ConfigError(
-                f"{self.name} plan built to horizon {len(self.plan) - 1}, frame needs {horizon}"
+                f"{self.name} plan built to horizon {self.horizon}, frame needs {horizon}"
             )
 
     def decide(self, t: int, backlog: int) -> int:
-        self._check_horizon(t)
+        self.check_horizon(t)
         if t <= 0 or backlog <= 0:
             return 0
         return min(int(self.plan[t]), backlog)
 
     def decision_vector(self, horizon: int):
         """The plan for states 0..horizon, a copy the caller may keep."""
-        self._check_horizon(horizon)
+        self.check_horizon(horizon)
         return self.plan[: horizon + 1].copy()
 
 
@@ -235,8 +238,7 @@ class LearningPolicy(BlockPolicy):
         return self._tables[eps]
 
     def decide(self, t: int, backlog: int) -> int:
-        if t > self.horizon:
-            raise ConfigError(f"learning plan built to horizon {self.horizon}, frame needs {t}")
+        self.check_horizon(t)
         if t <= 0 or backlog <= 0:
             return 0
         planned = int(self.planned_table().k_star[t])

@@ -47,14 +47,23 @@ class RngSpec:
 class _Rekeyable(threading.local):
     """One Philox bit generator per thread, with the state dict that resets
     it: counter 0 and an empty buffer (``buffer_pos`` 4, ``has_uint32`` 0), as
-    freshly constructed. Setting ``bit_generator.state`` copies the values
-    out of the dict, so the template never changes except for its key."""
+    freshly constructed. The dict holds plain ints and lists, which the state
+    setter reads far faster than numpy arrays. Setting ``bit_generator.state``
+    copies the values out of the dict, so the template never changes except
+    for its key."""
 
     def __init__(self):
         self.bit_generator = np.random.Philox(key=np.zeros(2, dtype=_U64))
         self.generator = np.random.Generator(self.bit_generator)
-        self.state = self.bit_generator.state
-        self.key = self.state["state"]["key"]
+        self.key = [0, 0]
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self.key},
+            "buffer": [0] * 4,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 _REKEYABLE = _Rekeyable()

@@ -7,6 +7,12 @@ arithmetic; for the same (seed, stream) both produce the same delivered
 count, which the tests exploit. The learning policy has no plan, so it always
 runs through the reference engine. All channel randomness flows through
 RngSpec so the replication order never matters.
+
+The batch engine first builds a reception index of each replication: per
+(slot, receiver), the receptions counted so far (``csum``) and the slot of
+each reception by its ordinal (``slot_of``). A block step then reads where
+each receiver's k-th reception after the block's start falls with one gather,
+so a replication costs time linear in the horizon, whatever the plan.
 """
 
 from dataclasses import dataclass
@@ -52,6 +58,7 @@ def simulate_frame(
     """
     if horizon < 0 or backlog < 0:
         raise ValueError("horizon and backlog must be non-negative")
+    policy.check_horizon(horizon)
     n = channel.n_receivers
     bits = frame_bits(rng, horizon, channel.erasures)
     rows = bits.astype(np.uint8).tolist()
@@ -113,43 +120,85 @@ class ThroughputSummary:
 # one chunk's arrays fit in _CHUNK_BYTES.
 _MAX_CHUNK = 65536
 _CHUNK_BYTES = 256 * 2**20
+# Draw blocks: as many replications as keep a block to about this many
+# (slot, receiver) cells, so that its float draws and int64 scatter targets
+# take at most 512 KiB each, whatever the chunk size.
+_DRAW_CELLS = 2**16
+
+
+def _reception_index(horizon, erasures, seed, streams):
+    """The reception index of each stream's frame, receiver-major.
+
+    ``csum[r, i, s]`` counts receiver i's receptions in the first s slots of
+    stream r, for s = 0..horizon. ``slot_of[r, i, j]`` is the 1-based slot of
+    its (j+1)-th reception, for j below ``csum[r, i, horizon]``; the entries
+    past that, and the last column, hold nothing. Both are in the smallest
+    unsigned type that holds horizon + 1.
+
+    The streams are drawn in small blocks, one ``fill_uniform`` call each into
+    a reused buffer, with the bits of ``frame_bits``. ``slot_of`` is built by
+    scattering each reception's slot to its ordinal, read from ``csum``; a
+    slot without a reception goes to the row's last column.
+    """
+    c, n = len(streams), len(erasures)
+    dtype = np.min_scalar_type(horizon + 1)
+    receive = (1.0 - np.asarray(erasures))[:, None]
+    csum = np.zeros((c, n, horizon + 1), dtype=dtype)
+    slot_of = np.empty((c, n, horizon + 1), dtype=dtype)
+    slots = np.arange(1, horizon + 1, dtype=dtype)
+    block = max(1, min(c, _DRAW_CELLS // (horizon * n)))
+    u = np.empty((block, horizon, n))
+    frames = list(u)
+    bits = np.empty((block, n, horizon), dtype=bool)
+    for lo in range(0, c, block):
+        b = min(block, c - lo)
+        for frame, stream in zip(frames, streams[lo : lo + b]):
+            fill_uniform(seed, stream, frame)
+        np.less(u[:b].transpose(0, 2, 1), receive, out=bits[:b])
+        counts = csum[lo : lo + b]
+        np.cumsum(bits[:b], axis=2, dtype=dtype, out=counts[:, :, 1:])
+        ordinal = np.where(bits[:b], counts[:, :, :-1], horizon)
+        rows = np.arange(lo * n, (lo + b) * n).reshape(b, n, 1) * (horizon + 1)
+        slot_of.reshape(-1)[rows + ordinal] = slots
+    return csum, slot_of
 
 
 def _batch_delivered(k_vec, horizon, backlog, erasures, seed, streams) -> np.ndarray:
-    """Delivered counts for many replications of a table-driven policy.
+    """Delivered counts for many replications of a plan.
 
-    Exactly reproduces simulate_frame(OptimalPolicy-like, stream s) for each
-    stream: same Philox keys, same bit layout, same block semantics.
+    Exactly reproduces simulate_frame(policy with this plan, stream s) for
+    each stream: same Philox keys, same bits, same block semantics. With the
+    reception index of every stream, a block step is a gather with no scan
+    over slots. A block of k packets started at slot ``start`` needs receiver
+    i's reception number ``need = csum[start] + k - 1`` (counted from 0); it
+    completes iff that reception exists for every receiver, and then ends at
+    the latest of their ``slot_of[need]``. The cost is linear in the horizon.
     """
-    c = len(streams)
-    n = len(erasures)
-    receive = 1.0 - np.asarray(erasures)
-    u = np.empty((horizon, n))
-    bits = np.empty((c, horizon, n), dtype=bool)
-    for j, st in enumerate(streams):
-        np.less(fill_uniform(seed, int(st), u), receive, out=bits[j])
-    csum = np.zeros((c, horizon + 1, n), dtype=np.int32)
-    np.cumsum(bits, axis=1, out=csum[:, 1:, :])
+    c, n = len(streams), len(erasures)
+    delivered = np.zeros(c, dtype=np.int64)
+    if horizon == 0 or backlog == 0:
+        return delivered
+    csum, slot_of = _reception_index(horizon, erasures, seed, streams)
+    flat_csum, flat_slot = csum.reshape(-1), slot_of.reshape(-1)
+    total = csum[:, :, horizon]
+    row_base = (np.arange(c)[:, None] * n + np.arange(n)) * (horizon + 1)
 
     t = np.full(c, horizon, dtype=np.int64)
     m = np.full(c, backlog, dtype=np.int64)
-    delivered = np.zeros(c, dtype=np.int64)
-    active = np.nonzero((t > 0) & (m > 0))[0]
+    active = np.arange(c)
     while active.size:
         k = np.minimum(k_vec[t[active]], m[active])
         if (k < 1).any():
             raise ValueError("policy proposed an empty block mid-frame")
-        start = horizon - t[active]
-        target = csum[active, start, :] + k[:, None]
-        comp = csum[active, 1:, :] >= target[:, None, :]
-        reached = comp.any(axis=1)
-        end_slot = comp.argmax(axis=1).max(axis=1) + 1
-        ok = reached.all(axis=1)
+        base = row_base[active]
+        need = flat_csum[base + (horizon - t[active])[:, None]] + (k - 1)[:, None]
+        ok = (need < total[active]).all(axis=1)
 
-        done_idx = active[ok]
-        delivered[done_idx] += k[ok]
-        m[done_idx] -= k[ok]
-        t[done_idx] = horizon - end_slot[ok]
+        done = active[ok]
+        end = flat_slot[base[ok] + need[ok]].max(axis=1)
+        delivered[done] += k[ok]
+        m[done] -= k[ok]
+        t[done] = horizon - end
         t[active[~ok]] = 0
         active = active[(t[active] > 0) & (m[active] > 0)]
     return delivered
@@ -188,8 +237,10 @@ def monte_carlo_throughput(
     else:
         k_vec = np.asarray(k_vec, dtype=np.int64)
         # _batch_delivered holds about 10 bytes per (slot, receiver) of a
-        # replication: bool bits, int32 cumsum, the cumsum copy one block
-        # step indexes out, and its bool comparison
+        # replication from T = 6 up: its reception index (csum and slot_of,
+        # 1 byte each below T = 255, 2 below T = 65535) and the block steps'
+        # int64 arrays, about 56 bytes per receiver. On shorter frames those
+        # arrays dominate. The draws go through a small reused buffer.
         per_replication = 10 * (horizon + 1) * channel.n_receivers
         chunk = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_replication))
         parts = []

@@ -95,6 +95,22 @@ class TestFrameLongerThanPlan:
             policy.decide(5, 1)
         assert policy.decide(3, 5) == 1
 
+    @pytest.mark.parametrize("build", [
+        lambda ch: OptimalPolicy(solve_monotone(3, ch)),
+        lambda ch: RetransmissionPolicy(3),
+        lambda ch: LearningPolicy(2, 3),
+    ])
+    def test_both_engines_raise_at_backlog_zero(self, build):
+        # an empty backlog takes no decision, yet the frame still overruns
+        ch = ChannelModel.homogeneous(0.3, 2)
+        policy = build(ch)
+        want = f"{policy.name} plan built to horizon 3, frame needs 5"
+        with pytest.raises(ConfigError, match=want):
+            simulate_frame(policy, 5, 0, ch, RngSpec(3, 0))
+        with pytest.raises(ConfigError, match=want):
+            monte_carlo_throughput(policy, 5, 0, ch, 4, RngSpec(3, 0))
+        assert simulate_frame(policy, 3, 0, ch, RngSpec(3, 0)).delivered == 0
+
 
 class TestDecisionVectors:
     def test_table_vector_matches_column(self):

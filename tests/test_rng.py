@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adaptnc import ChannelModel, OptimalPolicy, RngSpec, monte_carlo_throughput, solve_monotone
-from adaptnc.rng import fill_uniform
+from adaptnc.rng import _REKEYABLE, fill_uniform
 
 U64_MAX = 2**64 - 1
 
@@ -34,6 +34,32 @@ def test_consecutive_draws_do_not_carry_state():
         fill_uniform(1, stream, np.empty((1, 1)))
         fill_uniform(2, stream, out)
         assert np.array_equal(out, RngSpec(2, stream).generator().random((3, 1)))
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, for comparison."""
+    return {
+        key: _plain(value) if isinstance(value, dict)
+        else value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in state.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "seed, stream", [(0, 0), (7, 3), (2**63, 2**63), (U64_MAX, U64_MAX), (U64_MAX, 1)]
+)
+def test_state_after_an_odd_draw_matches_a_fresh_generator(seed, stream):
+    # three words leave Philox mid-buffer; the re-keyed generator must stand
+    # exactly where a fresh one does, and the reset template must not move
+    template = _plain(_REKEYABLE.state)
+    for words in (3, 1, 5):
+        fresh = RngSpec(seed, stream).generator()
+        fresh.random((words, 1))
+        fill_uniform(seed, stream, np.empty((words, 1)))
+        assert _plain(_REKEYABLE.bit_generator.state) == _plain(fresh.bit_generator.state)
+        assert _plain(_REKEYABLE.state) == {
+            **template, "state": {**template["state"], "key": [seed, stream]}
+        }
 
 
 def test_rekeying_leaves_a_live_generator_alone():

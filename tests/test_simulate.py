@@ -205,6 +205,40 @@ class TestEngineAgreement:
             )
             assert (summary.samples == stepped).all(), policy.plan.tolist()
 
+    @pytest.mark.parametrize(
+        "horizon, plan, erasures, reps",
+        [
+            (300, "retransmission", (0.0, 0.3, 0.6), 100),
+            (300, "retransmission", (0.0, 0.4, 1.0), 80),
+            (1000, "retransmission", (0.3, 0.3, 0.3), 30),
+            (1000, "optimal", (0.3, 0.3, 0.3), 30),
+        ],
+    )
+    def test_engines_agree_on_long_horizons(self, monkeypatch, horizon, plan, erasures, reps):
+        # the reception index must replay the per-slot loop exactly far past
+        # the short frames above, across draw blocks and chunks, with a
+        # receiver that gets everything and one that gets nothing
+        from adaptnc import simulate
+
+        ch = ChannelModel(erasures)
+        if plan == "optimal":
+            policy = OptimalPolicy(solve_monotone(horizon, ch))
+        else:
+            policy = RetransmissionPolicy(horizon)
+        assert reps > simulate._DRAW_CELLS // (horizon * ch.n_receivers)
+        default_chunk = simulate._MAX_CHUNK
+        for backlog in (0, 1, horizon, horizon + 2):
+            stepped = [
+                simulate_frame(policy, horizon, backlog, ch, RngSpec(23, 5 + r)).delivered
+                for r in range(reps)
+            ]
+            for chunk in (default_chunk, 7):
+                monkeypatch.setattr(simulate, "_MAX_CHUNK", chunk)
+                summary = monte_carlo_throughput(
+                    policy, horizon, backlog, ch, reps, RngSpec(23, 5), keep_samples=True
+                )
+                assert summary.samples.tolist() == stepped, (backlog, chunk)
+
     def test_chunked_batches_match_one_big_batch(self, monkeypatch):
         from adaptnc import simulate
 
