@@ -7,13 +7,14 @@ probability that a block of size K finishes within a given number of slots;
 everything else here (decode tables, completion distributions, moments)
 derives from it.
 
-One kernel, ``_decode_tail``, computes that probability for one receiver over
-every slot count up to a horizon. It sums the negative-binomial terms
-C(tau-1, K-1) * e**(tau-K) * (1-e)**K of the K-th reception landing in slot
-tau, each built in log space from a cached log-factorial table, so no term
-underflows before it is truly negligible and blocks in the thousands stay
-exact to rounding. Receivers are independent, so a channel's probability is
-the product of its receivers' probabilities, one power per distinct rate.
+One kernel, ``_receiver_tails``, computes that probability for one receiver
+over every slot count up to a horizon, one block size at a time. It sums the
+negative-binomial terms C(tau-1, K-1) * e**(tau-K) * (1-e)**K of the K-th
+reception landing in slot tau, each built in log space from a cached
+log-factorial table, so no term underflows before it is truly negligible and
+blocks in the thousands stay exact to rounding. Receivers are independent,
+so a channel's probability is the product of its receivers' probabilities,
+one power per distinct rate.
 """
 
 import math
@@ -46,47 +47,66 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def _decode_tail(block: int, slots: int, erasure: float) -> np.ndarray:
-    """P(one receiver holds ``block`` packets after t slots) for t = 0 .. slots.
+def _receiver_tails(slots: int, erasure: float):
+    """One receiver's decode tails over slots 0 .. slots, as ``tail(block)``.
 
-    Entry t is the cumulative sum, over tau = block .. t, of
-    C(tau-1, block-1) * erasure**(tau-block) * (1-erasure)**block.
+    ``tail(block)`` returns a new array whose entry t is P(the receiver holds
+    ``block`` packets after t slots): the cumulative sum, over
+    tau = block .. t, of C(tau-1, block-1) * erasure**(tau-block) *
+    (1-erasure)**block. The terms that do not depend on the block, the
+    log-factorials and tau * log(erasure), are formed once; each block's log
+    terms are built in one reused buffer.
     """
-    tail = np.zeros(slots + 1)
-    if block == 0:
-        tail[:] = 1.0
-    elif block <= slots and erasure == 0.0:
-        tail[block:] = 1.0
-    elif block <= slots and erasure < 1.0:
+    if 0.0 < erasure < 1.0:
         lf = _log_factorials(slots)
-        lost = np.arange(slots - block + 1)
-        log_terms = (
-            lf[block - 1 : slots]
-            - lf[block - 1]
-            - lf[: slots - block + 1]
-            + lost * math.log(erasure)
-            + block * math.log1p(-erasure)
-        )
-        tail[block:] = np.minimum(np.cumsum(np.exp(log_terms)), 1.0)
+        lost = np.arange(slots + 1) * math.log(erasure)
+        log_kept = math.log1p(-erasure)
+        buf = np.empty(slots + 1)
+
+    def tail(block: int) -> np.ndarray:
+        out = np.zeros(slots + 1)
+        if block == 0:
+            out[:] = 1.0
+        elif block <= slots and erasure == 0.0:
+            out[block:] = 1.0
+        elif block <= slots and erasure < 1.0:
+            n = slots - block + 1
+            terms = buf[:n]
+            np.subtract(lf[block - 1 : slots], lf[block - 1], out=terms)
+            np.subtract(terms, lf[:n], out=terms)
+            np.add(terms, lost[:n], out=terms)
+            np.add(terms, block * log_kept, out=terms)
+            np.exp(terms, out=terms)
+            np.cumsum(terms, out=terms)
+            np.minimum(terms, 1.0, out=out[block:])
+        return out
+
     return tail
 
 
-def _channel_tail(block: int, slots: int, rates) -> np.ndarray:
-    """P(every receiver holds ``block`` packets after t slots) for t = 0 .. slots.
+def _channel_tails(slots: int, rates):
+    """A channel's decode tails over slots 0 .. slots, as ``tail(block)``.
 
-    ``rates`` holds the channel's (erasure, receiver count) pairs. A factor
-    below 2**(-1100 / count) has a power below 2**-1100, which rounds to
-    exactly 0 (the smallest subnormal is 2**-1074). Such factors also send
-    libm's ``pow`` down its slow path, so they are zeroed without calling it;
-    one receiver's tail never decreases in t, so they form a prefix.
+    ``tail(block)`` returns a new array whose entry t is P(every receiver
+    holds ``block`` packets after t slots). ``rates`` holds the channel's
+    (erasure, receiver count) pairs. A factor below 2**(-1100 / count) has a
+    power below 2**-1100, which rounds to exactly 0 (the smallest subnormal
+    is 2**-1074). Such factors also send libm's ``pow`` down its slow path,
+    so they are zeroed without calling it; one receiver's tail never
+    decreases in t, so they form a prefix.
     """
-    tail = np.ones(slots + 1)
-    for eps, count in rates:
-        part = _decode_tail(block, slots, eps)
-        cut = np.searchsorted(part, 2.0 ** (-1100 / count))
-        part[:cut] = 0.0
-        part[cut:] **= count
-        tail *= part
+    parts = [(_receiver_tails(slots, eps), count) for eps, count in rates]
+
+    def tail(block: int) -> np.ndarray:
+        out = np.ones(slots + 1)
+        for receiver, count in parts:
+            part = receiver(block)
+            cut = np.searchsorted(part, 2.0 ** (-1100 / count))
+            part[:cut] = 0.0
+            part[cut:] **= count
+            out *= part
+        return out
+
     return tail
 
 
@@ -94,7 +114,7 @@ def decode_prob(block: int, slots: int, channel: ChannelModel) -> float:
     """Probability every receiver decodes a ``block``-packet block in ``slots``."""
     if block < 0 or slots < 0:
         raise ValueError("block and slots must be non-negative")
-    return float(_channel_tail(block, slots, Counter(channel.erasures).items())[slots])
+    return float(_channel_tails(slots, Counter(channel.erasures).items())(block)[slots])
 
 
 class DecodingTable:
@@ -103,18 +123,18 @@ class DecodingTable:
     ``values[k, t]`` is decode_prob(k, t, channel) for 0 <= k, t <= horizon,
     with values[0, :] = 1 and values[k, t] = 0 for k > t; it is frozen after
     construction. The probability that a block of k packets completes exactly
-    at slot t is values[k, t] - values[k, t-1]; the solver takes these
-    differences on the rows it reads, so no second dense array is kept.
+    at slot t is values[k, t] - values[k, t-1]. The solver does not build
+    this table: it builds the rows it reads with the same kernel.
     """
 
     @np.errstate(over="raise", divide="raise", invalid="raise")
     def __init__(self, channel: ChannelModel, horizon: int):
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        rates = Counter(channel.erasures).items()
+        row = _channel_tails(horizon, Counter(channel.erasures).items())
         values = np.empty((horizon + 1, horizon + 1))
         for k in range(horizon + 1):
-            values[k] = _channel_tail(k, horizon, rates)
+            values[k] = row(k)
         values.flags.writeable = False
         self.values = values
 
@@ -139,7 +159,7 @@ def _shortfall_series(block: int, channel: ChannelModel, weighted: bool) -> floa
     window = 64 + block
     while True:
         t = np.arange(block, block + window + 1)
-        tails = np.array([_decode_tail(block, block + window, e)[block:] for e in rates])
+        tails = np.array([_receiver_tails(block + window, e)(block)[block:] for e in rates])
         short = 1.0 - np.prod(tails ** counts[:, None], axis=0)
         terms = (2 * t + 1) * short if weighted else short
         ratio = eps * (t + 1) / (t + 2 - block)

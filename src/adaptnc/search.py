@@ -1,38 +1,7 @@
-"""Small search utilities: unimodal argmax and bisection.
-
-The reward curves maximized here are log-concave in the block size, so the
-ratio of consecutive values is non-increasing and golden-ratio probing with
-ties resolved leftward finds the smallest maximizer.
-"""
+"""Small search utilities on the real line: golden-section maximization of a
+unimodal function and bisection of a sign change."""
 
 _INV_GOLDEN2 = 0.3819660112501051  # 2 - golden ratio
-
-
-def argmax_unimodal(f, lo: int, hi: int) -> int:
-    """Smallest maximizer of a unimodal ``f`` over the integers [lo, hi].
-
-    Golden-ratio section until the bracket is short, then a linear scan.
-    On probe ties the right part is discarded, which keeps the smallest
-    maximizer for curves whose value ratio f(x+1)/f(x) never increases.
-    """
-    if lo > hi:
-        raise ValueError(f"empty search range [{lo}, {hi}]")
-    while hi - lo >= 8:
-        span = hi - lo
-        m1 = lo + int(span * _INV_GOLDEN2)
-        m2 = hi - int(span * _INV_GOLDEN2)
-        if m1 >= m2:
-            m2 = m1 + 1
-        if f(m1) >= f(m2):
-            hi = m2 - 1
-        else:
-            lo = m1 + 1
-    best, fbest = lo, f(lo)
-    for x in range(lo + 1, hi + 1):
-        fx = f(x)
-        if fx > fbest:
-            best, fbest = x, fx
-    return best
 
 
 def golden_max(f, lo: float, hi: float) -> float:

@@ -11,6 +11,22 @@ feasible block size at every state, and a windowed one that exploits the
 monotone structure of the optimum (the optimal block size never shrinks as
 the deadline recedes, and never exceeds the single-shot greedy choice).
 
+Both run one loop over decode rows built on demand, one row per block size.
+The windowed solve reads at state t only the rows between the previous
+state's optimum and the greedy block, and deletes the rows below that band,
+so it holds O(T * window) floats where a dense decode table holds (T + 1)**2.
+A per-state cap that falls below the band rebuilds the one row it reads.
+
+The greedy block, the smallest maximizer of the single-shot reward
+k * P(k, t) over the blocks the state allows, is found by stepping up from
+where the previous state's scan stopped while the next block's reward is
+strictly larger and the state's cap allows it. That is exact because the reward is
+log-concave in k, so it rises strictly up to its smallest maximizer and
+never rises after it, and that maximizer never decreases in t: binomial
+tails are log-supermodular in (k, t), so by Topkis' theorem the maximizer is
+monotone. A capped solve builds no row for a block that no state's cap
+allows.
+
 The windowed scan also stops at the physical ceiling. No receiver hears more
 than a (1 - e) share of the slots, so no plan delivers more than
 (1 - max e) t packets from state t. Once the best block found reaches that
@@ -21,13 +37,14 @@ evaluation per state instead of a window that grows with t.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelModel
-from .decoding import DecodingTable
-from .search import argmax_unimodal, bisect_root, golden_max
+from .decoding import _channel_tails
+from .search import bisect_root, golden_max
 
 
 @dataclass(frozen=True)
@@ -40,7 +57,7 @@ class PolicyTable:
     ``stats`` counts the work done, for the complexity checks:
     ``bellman_evals`` the Bellman evaluations actually made (the windowed
     scan stops early at the ceiling), ``reward_evals`` the single-shot
-    rewards the greedy search probed.
+    rewards the upward greedy scan read.
     """
 
     k_star: np.ndarray
@@ -72,22 +89,42 @@ def _state_bound(t: int, caps) -> int:
     return max(1, bound)
 
 
-def _bellman_value(probs: np.ndarray, down: np.ndarray, t: int, k: int) -> float:
+class _Rows(dict):
+    """Decode rows of one channel up to a horizon, built on first read.
+
+    ``rows[k]`` is (tail, pmf): tail[t] is the probability that a block of k
+    packets completes within t slots, pmf[j] that it completes exactly at
+    slot j. A row the solve deletes is built again if it is read again.
+    """
+
+    def __init__(self, channel: ChannelModel, horizon: int):
+        super().__init__()
+        self.build = _channel_tails(horizon, Counter(channel.erasures).items())
+
+    def __missing__(self, k: int):
+        tail = self.build(k)
+        pmf = np.empty_like(tail)
+        pmf[0] = tail[0]
+        np.subtract(tail[1:], tail[:-1], out=pmf[1:])
+        self[k] = tail, pmf
+        return tail, pmf
+
+
+def _bellman_value(rows: _Rows, down: np.ndarray, t: int, k: int) -> float:
     """Expected packets from state t when committing k packets now: the
     immediate reward plus the value of the slots typically left over.
 
     ``down`` holds the values of states t, t-1, .., 0, so ``down[j]`` is
     what is left when the block completes exactly at slot j.
     """
-    row = probs[k]
-    done = np.subtract(row[k : t + 1], row[k - 1 : t])  # P(completes at slot k..t)
-    return k * float(row[t]) + float(np.dot(done, down[k:]))
+    tail, pmf = rows[k]
+    return k * float(tail[t]) + float(np.dot(pmf[k : t + 1], down[k:]))
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> PolicyTable:
     caps = _cap_vector(k_cap, horizon)
-    probs = DecodingTable(channel, horizon).values
+    rows = _Rows(channel, horizon)
     value = np.zeros(horizon + 1)
     # back[horizon - s] = value[s], so the values of states t down to 0 are
     # the contiguous tail back[horizon - t:] and need no reversed copy
@@ -96,20 +133,25 @@ def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> Policy
     k_greedy = np.zeros(horizon + 1, dtype=int)
     stats = {"bellman_evals": 0, "reward_evals": 0}
     top = 1.0 - channel.worst_erasure()
+    g = 1  # where the greedy scan starts: never above the uncapped greedy block
 
     for t in range(1, horizon + 1):
         bound = _state_bound(t, caps)
-        row = probs[:, t]
 
-        def reward(k):
-            stats["reward_evals"] += 1
-            return k * row[k]
-
-        k_greedy[t] = argmax_unimodal(reward, 1, bound)
+        reward = g * float(rows[g][0][t])
+        probes = 1
+        while g < bound:
+            up = (g + 1) * float(rows[g + 1][0][t])
+            probes += 1
+            if up <= reward:
+                break
+            g, reward = g + 1, up
+        stats["reward_evals"] += probes
+        k_greedy[t] = min(g, bound)
 
         if windowed:
             lo = max(1, int(k_star[t - 1]))
-            hi = min(bound, int(k_greedy[t]))
+            hi = int(k_greedy[t])
             if lo > hi:
                 lo = hi
             ceiling = top * t * (1.0 - 1e-13)
@@ -119,10 +161,10 @@ def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> Policy
 
         down = back[horizon - t :]
         k = best_k = lo
-        best_w = _bellman_value(probs, down, t, lo)
+        best_w = _bellman_value(rows, down, t, lo)
         while k < hi and best_w < ceiling:
             k += 1
-            w = _bellman_value(probs, down, t, k)
+            w = _bellman_value(rows, down, t, k)
             # strictly better only beyond float noise: candidate values can
             # differ by less than one ulp of the value scale (e.g. two block
             # sizes whose outcomes differ only on near-impossible slot
@@ -132,6 +174,13 @@ def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> Policy
         stats["bellman_evals"] += k - lo + 1
         value[t] = back[horizon - t] = best_w
         k_star[t] = best_k
+
+        if windowed:
+            # later states read rows from min(k_star[t], g) up, unless a
+            # per-state cap drops below that and rebuilds the row it needs
+            floor = min(best_k, g)
+            for k in [k for k in rows if k < floor]:
+                del rows[k]
 
     return PolicyTable(k_star=k_star, k_greedy=k_greedy, value=value, stats=stats)
 

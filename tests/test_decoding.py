@@ -28,7 +28,7 @@ from adaptnc import (
     expected_completion_time,
     solve_monotone,
 )
-from adaptnc.decoding import _decode_tail
+from adaptnc.decoding import _log_factorials, _receiver_tails
 
 
 def completion_pmf(table: DecodingTable) -> np.ndarray:
@@ -86,6 +86,28 @@ def lgamma_single(block: int, slots: int, erasure: float) -> float:
         )
         for j in range(block, slots + 1)
     )
+
+
+def plain_decode_tail(block: int, slots: int, erasure: float) -> np.ndarray:
+    """The log-space kernel written with fresh temporaries and no reused
+    terms: one receiver's decode probabilities for t = 0 .. slots."""
+    tail = np.zeros(slots + 1)
+    if block == 0:
+        tail[:] = 1.0
+    elif block <= slots and erasure == 0.0:
+        tail[block:] = 1.0
+    elif block <= slots and erasure < 1.0:
+        lf = _log_factorials(slots)
+        lost = np.arange(slots - block + 1)
+        log_terms = (
+            lf[block - 1 : slots]
+            - lf[block - 1]
+            - lf[: slots - block + 1]
+            + lost * math.log(erasure)
+            + block * math.log1p(-erasure)
+        )
+        tail[block:] = np.minimum(np.cumsum(np.exp(log_terms)), 1.0)
+    return tail
 
 
 def decode_prob_single(block: int, slots: int, erasure: float) -> float:
@@ -331,11 +353,21 @@ class TestDecodingTable:
         for k in range(horizon + 1):
             tail = np.ones(horizon + 1)
             for eps, count in Counter(erasures).items():
-                tail *= _decode_tail(k, horizon, eps) ** count
+                tail *= plain_decode_tail(k, horizon, eps) ** count
             plain[k] = tail
         table = DecodingTable(ChannelModel(erasures=erasures), horizon)
         assert np.array_equal(table.values, plain)
         assert not hasattr(table, "deltas")
+
+    @pytest.mark.parametrize("slots", [300, 1000, 2000])
+    def test_reused_kernel_terms_change_no_bit(self, slots):
+        # the kernel forms the block-independent terms once per rate and each
+        # row's log terms in one reused buffer; every row must still equal the
+        # plain kernel's bytes
+        for eps in (0.0, 1e-6, 0.3, 0.85, 1.0):
+            tail = _receiver_tails(slots, eps)
+            for k in range(slots + 2):
+                assert tail(k).tobytes() == plain_decode_tail(k, slots, eps).tobytes(), (eps, k)
 
 
 class TestCompletionPmf:

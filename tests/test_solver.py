@@ -2,13 +2,11 @@
 windowed solver against exhaustive search, structural monotonicity, the
 greedy/conservative baselines, and the retransmission threshold."""
 
-import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adaptnc import (
     ChannelModel,
@@ -19,11 +17,12 @@ from adaptnc import (
     solve_bruteforce,
     solve_monotone,
 )
-from adaptnc.search import argmax_unimodal, bisect_root, golden_max
+from adaptnc.search import bisect_root, golden_max
 
 
 def linear_argmax(f, lo: int, hi: int) -> int:
-    """Plain linear-scan smallest argmax, the oracle for the golden search."""
+    """Plain linear-scan smallest argmax, the oracle for the solver's greedy
+    scan."""
     best, fbest = lo, f(lo)
     for x in range(lo + 1, hi + 1):
         fx = f(x)
@@ -38,7 +37,7 @@ def greedy_block_size(t: int, channel, k_cap: int | None = None) -> int:
         raise ValueError("t must be at least 1")
     bound = max(1, min(t, k_cap)) if k_cap is not None else t
     row = DecodingTable(channel, t).values[:, t]
-    return argmax_unimodal(lambda k: k * row[k], 1, bound)
+    return linear_argmax(lambda k: k * row[k], 1, bound)
 
 
 def _reference_solve(horizon: int, channel, k_cap=None):
@@ -55,7 +54,7 @@ def _reference_solve(horizon: int, channel, k_cap=None):
     for t in range(1, horizon + 1):
         bound = max(1, t if caps is None else min(t, int(caps[t])))
         row = values[:, t]
-        k_greedy[t] = argmax_unimodal(lambda k: k * row[k], 1, bound)
+        k_greedy[t] = linear_argmax(lambda k: k * row[k], 1, bound)
         hi = min(bound, int(k_greedy[t]))
         lo = min(max(1, int(k_star[t - 1])), hi)
         best_k, best_w = lo, None
@@ -71,7 +70,8 @@ def _reference_solve(horizon: int, channel, k_cap=None):
 def _oracle_cases(count: int, seed: int):
     """Seeded channels and caps: single receivers, lossless and deaf
     receivers, heterogeneous channels, channels just below the ceiling,
-    scalar and per-state caps, T <= 300."""
+    scalar caps, non-decreasing per-state caps and random per-state caps
+    (which can fall below the previous state's block), T <= 300."""
     rng = random.Random(seed)
     for i in range(count):
         horizon = rng.choice([1, 2, 3, 5, 8, 13, 30, 60, 120, 300])
@@ -96,6 +96,8 @@ def _oracle_cases(count: int, seed: int):
         elif i % 7 == 5:
             step = rng.randint(2, 9)
             cap = np.array([1 + t // step for t in range(horizon + 1)])
+        elif i % 7 == 6:
+            cap = np.array([rng.randint(0, 12) for _ in range(horizon + 1)])
         yield horizon, ChannelModel(erasures=erasures), cap
 
 
@@ -164,8 +166,8 @@ class TestOracleEquivalence:
             assert table.stats["bellman_evals"] == expected, (eps, n)
 
     def test_matches_reference_solve_bitwise(self):
-        # the ceiling stop, the contiguous continuation and the per-row
-        # completion probabilities change no bit of any table
+        # the ceiling stop, the contiguous continuation, the rows built on
+        # demand and the greedy scan change no bit of any table
         for horizon, ch, cap in _oracle_cases(220, seed=11):
             table = solve_monotone(horizon, ch, k_cap=cap)
             k_star, k_greedy, value = _reference_solve(horizon, ch, k_cap=cap)
@@ -173,6 +175,27 @@ class TestOracleEquivalence:
             assert np.array_equal(table.k_star, k_star), where
             assert np.array_equal(table.k_greedy, k_greedy), where
             assert np.array_equal(table.value, value), where
+
+    def test_uncapped_greedy_never_decreases(self):
+        # the solver finds the greedy block by scanning up from where the
+        # previous state's scan stopped, which needs the smallest maximizer
+        # of k * P(k, t) to be non-decreasing in t
+        for horizon, ch, _ in _oracle_cases(220, seed=11):
+            _, k_greedy, _ = _reference_solve(horizon, ch)
+            assert (np.diff(k_greedy) >= 0).all(), (horizon, ch.erasures)
+
+    @pytest.mark.parametrize("k_cap", [None, 1])
+    def test_solve_memory_is_banded(self, k_cap):
+        # the dense decoding table alone is (T + 1)**2 floats, 32 MB here;
+        # the solve keeps only the rows between the optimal and greedy
+        # blocks, and a capped solve builds no row above its cap
+        tracemalloc.start()
+        try:
+            solve_monotone(2000, ChannelModel.homogeneous(0.3, 5), k_cap=k_cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_single_receiver_solve_is_linear(self):
         # one receiver reaches the ceiling with one-packet blocks, so each
@@ -292,10 +315,9 @@ class TestGreedyBlockSize:
         for eps in (0.05, 0.2, 0.5, 0.8):
             for n in (1, 2, 5, 10):
                 ch = ChannelModel.homogeneous(eps, n)
+                k_greedy = solve_monotone(40, ch).k_greedy
                 for t in (1, 2, 3, 7, 15, 40):
-                    row = DecodingTable(ch, t).values[:, t]
-                    want = linear_argmax(lambda k: k * row[k], 1, t)
-                    assert greedy_block_size(t, ch) == want, (eps, n, t)
+                    assert k_greedy[t] == greedy_block_size(t, ch), (eps, n, t)
 
     def test_cap_respected(self):
         ch = ChannelModel.homogeneous(0.05, 5)
@@ -405,29 +427,6 @@ class TestPolicyTableCsv:
 
 
 class TestSearchUtilities:
-    def test_argmax_point_cases(self):
-        seq = [1.0, 3.0, 9.0, 4.0, 2.0]
-        assert argmax_unimodal(lambda x: seq[x], 0, 4) == 2
-        # plateau resolves to the smallest index
-        assert argmax_unimodal(lambda x: 1.0, 3, 20) == 3
-        assert argmax_unimodal(lambda x: float(x), 0, 15) == 15
-        assert argmax_unimodal(lambda x: -float(x), 0, 15) == 0
-        with pytest.raises(ValueError):
-            argmax_unimodal(lambda x: 0.0, 4, 3)
-
-    @given(
-        peak=st.integers(0, 60),
-        hi=st.integers(0, 60),
-        width=st.floats(2.5, 20.0, allow_nan=False),
-    )
-    @settings(deadline=None, derandomize=True)
-    def test_argmax_matches_linear_scan(self, peak, hi, width):
-        # log-concave bumps with arbitrary peaks; widths keep the tails away
-        # from float underflow, which would void the value-ratio contract
-        f = lambda x: math.exp(-(((x - peak) / width) ** 2))
-        got = argmax_unimodal(f, 0, hi)
-        assert got == linear_argmax(f, 0, hi)
-
     def test_golden_max_on_parabola(self):
         top = golden_max(lambda x: -(x - 0.37) ** 2, 0.0, 1.0)
         assert abs(top - 0.37) < 1e-6
