@@ -225,20 +225,13 @@ def cmd_region(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
 
 
 def cmd_threshold(config: ExperimentConfig) -> tuple[dict, list]:
-    rows = []
-    for t in range(2, config.t_max + 1):
-        for n in range(1, config.receivers_max + 1):
-            rows.append((t, n, retransmission_threshold(t, n)))
-
-    by_n = {}
-    by_t = {}
-    for t, n, eps in rows:
-        by_n.setdefault(n, []).append(eps)
-        by_t.setdefault(t, []).append(eps)
-    if not all((np.diff(v) > 0).all() for v in by_n.values()):
+    ts, ns = range(2, config.t_max + 1), range(1, config.receivers_max + 1)
+    eps = np.array([[retransmission_threshold(t, n) for n in ns] for t in ts])  # [t, n]
+    if not (np.diff(eps, axis=0) > 0).all():
         raise InvariantViolation("threshold failed to increase with the horizon")
-    if not all((np.diff(v) < 0).all() for v in by_t.values()):
+    if not (np.diff(eps, axis=1) < 0).all():
         raise InvariantViolation("threshold failed to decrease with the receiver count")
+    rows = [(t, n, e) for t, row in zip(ts, eps.tolist()) for n, e in zip(ns, row)]
     return (
         {"threshold.csv": (("t", "receivers", "eps_star"), rows)},
         [

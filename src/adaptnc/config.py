@@ -37,6 +37,7 @@ KIND_FIELDS = {
     "threshold": ("t_max", "receivers_max"),
 }
 EXPERIMENT_KINDS = tuple(KIND_FIELDS)
+_COMMON_FIELDS = ("kind", "seed", "out")  # fields every kind reads
 
 # The policy sub-fields a run of each policy kind reads. simulate reads them
 # for the kinds in its policies list, and never policy.kind; learn reads
@@ -307,13 +308,18 @@ class ExperimentConfig:
         if self.kind == "threshold":
             _require(self.t_max >= 2, "threshold requires t_max >= 2")
             _require(self.receivers_max >= 1, "threshold requires receivers_max >= 1")
-        unread = _unread(self, ("kind", "seed", "out") + KIND_FIELDS[self.kind], "")
-        if self.kind == "simulate":
-            read = [name for p in self.policies for name in POLICY_FIELDS.get(p, ())]
-            unread += _unread(self.policy, read, "policy.")
-        if self.kind == "learn":
-            unread += _unread(self.policy, ("kind",) + POLICY_FIELDS["learning"], "policy.")
+        unread = _unread(self, _COMMON_FIELDS + KIND_FIELDS[self.kind], "")
+        if "policy" in KIND_FIELDS[self.kind]:
+            unread += _unread(self.policy, _policy_read(self), "policy.")
         _require(not unread, f"{self.kind} does not read {', '.join(unread)}: leave them out")
+
+
+def _policy_read(config: ExperimentConfig) -> tuple:
+    """The policy sub-fields a run of ``config`` reads: for simulate those of
+    the policy kinds it lists, for learn policy.kind and the learning fields."""
+    if config.kind == "learn":
+        return ("kind",) + POLICY_FIELDS["learning"]
+    return tuple(name for p in config.policies for name in POLICY_FIELDS.get(p, ()))
 
 
 def _clean(value):
@@ -327,7 +333,14 @@ def _clean(value):
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    return yaml.safe_dump(_clean(asdict(config)), sort_keys=True)
+    """The fields the run reads, as YAML: kind, seed, out, the kind's
+    KIND_FIELDS and the policy sub-fields it reads. Every other field holds
+    its default, so parsing the text gives back ``config``."""
+    data = asdict(config)
+    read = {name: data[name] for name in _COMMON_FIELDS + KIND_FIELDS[config.kind]}
+    if "policy" in read:
+        read["policy"] = {name: read["policy"][name] for name in _policy_read(config)}
+    return yaml.safe_dump(_clean(read), sort_keys=True)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -141,11 +141,17 @@ def allocate_slots(
     """
     if not rho > 0:
         raise ConfigError("step size rho must be > 0")
-    if not flows:
-        return np.zeros(0, dtype=int)
+    if horizon < 0:
+        raise ConfigError("horizon must be >= 0")
     nu = np.asarray(deficits, dtype=float)
     if len(nu) != len(flows):
         raise ConfigError("deficit vector length must match the flow list")
+    if len(curves) != len(flows):
+        raise ConfigError("need one service curve per flow")
+    if any(len(c.values) < horizon + 1 for c in curves):
+        raise ConfigError(f"a service curve must cover budgets 0..{horizon}")
+    if not flows:
+        return np.zeros(0, dtype=int)
 
     n_flows = len(flows)
     gains = [
@@ -302,6 +308,8 @@ def run_online(
     """
     if frames < 1:
         raise ConfigError("need at least one frame")
+    if horizon < 1:
+        raise ConfigError("service curve needs a horizon of at least 1 slot")
     if len({f.flow_id for f in flows}) != len(flows):
         raise ConfigError("flow ids must be unique")
     for f in flows:

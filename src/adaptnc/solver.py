@@ -44,7 +44,6 @@ import numpy as np
 
 from .channel import ChannelModel
 from .decoding import _channel_tails
-from .search import bisect_root, golden_max
 
 
 @dataclass(frozen=True)
@@ -204,23 +203,29 @@ def solve_monotone(horizon: int, channel: ChannelModel, k_cap=None) -> PolicyTab
 
 
 def retransmission_threshold(t: int, n_receivers: int) -> float:
-    """Erasure rate above which one-packet blocks beat two-packet blocks.
+    """Smallest erasure rate, as a double, at which one-packet blocks win.
 
-    Compares the single-shot rewards of block sizes one and two with t slots
-    left and n receivers. Their difference, scaled to
-    f(e) = (1 - e**t) - 2**(1/n) * (1 - e**t + t*e**t - t*e**(t-1)),
-    is negative at e = 0, crosses zero exactly once, peaks, and returns to
-    zero at e = 1. The crossing is bracketed by the peak and bisected.
+    With t slots left and n receivers, a one-packet block's single-shot
+    reward beats a two-packet block's where f(e) > 0, with r = 2**(1/n) and
+    f(e) = (1 - e) * [t r e**(t-1) - (r - 1) * sum_{j<t} e**j].
+    Divided by e**(t-1) the bracket is t r - (r - 1) * sum_{m<t} e**(-m),
+    which rises strictly from -inf at e = 0 to t at e = 1, so f changes sign
+    exactly once on (0, 1). Bisection on that sign, comparing the positive
+    terms t r e**(t-1) (1 - e) and (r - 1) (1 - e**t), runs until the
+    bracket's ends are adjacent doubles and returns the upper one.
     """
     if t < 2:
         raise ValueError("threshold needs at least two slots (block size two)")
     if n_receivers < 1:
         raise ValueError("n_receivers must be at least 1")
     root_n = 2.0 ** (1.0 / n_receivers)
-
-    def f(e):
-        et = e**t
-        return (1.0 - et) - root_n * (1.0 - et + t * et - t * e ** (t - 1))
-
-    peak = golden_max(f, 0.0, 1.0)
-    return bisect_root(f, 0.0, peak)
+    scale, excess = t * root_n, root_n - 1.0
+    lo, hi = 0.0, 1.0
+    # the rounded midpoint of two doubles falls strictly between them
+    # unless they are adjacent
+    while lo < (e := 0.5 * (lo + hi)) < hi:
+        if scale * e ** (t - 1) * (1.0 - e) > excess * (1.0 - e**t):
+            hi = e
+        else:
+            lo = e
+    return hi

@@ -33,7 +33,7 @@ from adaptnc import (
     solve_monotone,
 )
 from adaptnc import cli
-from adaptnc.config import KIND_FIELDS
+from adaptnc.config import KIND_FIELDS, _clean
 
 
 def read_csv_lines(path):
@@ -45,6 +45,12 @@ def write_config(tmp_path, name="config.yaml", **fields):
     path = tmp_path / name
     path.write_text(serialize_config(cfg), encoding="utf-8")
     return path, cfg
+
+
+def full_form(cfg):
+    """Every field of ``cfg`` as YAML, None-valued ones left out: a saved
+    config.yaml that also lists the fields its run does not read."""
+    return yaml.safe_dump(_clean(asdict(cfg)), sort_keys=True)
 
 
 SOLVE_FIELDS = dict(
@@ -351,9 +357,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="region does not read intra"):
             ExperimentConfig(**region, intra="retransmission")
         # a field at its default is not a value the run ignores, so a saved
-        # config.yaml, which lists every field, loads again
+        # config.yaml that lists every field loads again
         cfg = ExperimentConfig(**region, intra="optimal", replications=10000)
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert "replications: 10000" in full_form(cfg)
+        assert parse_config(full_form(cfg)) == cfg
 
     @pytest.mark.parametrize("text, needle", [
         ("kind: learn\nchannel: {receivers: 2, erasure: 0.2}\n"
@@ -373,9 +380,10 @@ class TestConfigValidation:
                            "policy: {sigma2: 4.0, delta: 0.3, eps_init: 0.2}\n")
         assert (cfg.policy.sigma2, cfg.policy.delta, cfg.policy.eps_init) == (4.0, 0.3, 0.2)
         # sub-fields at their defaults are not values the run ignores, so a
-        # saved config.yaml, which lists them, loads again
+        # saved config.yaml that lists them loads again
         cfg = parse_config(simulate + "policy: {kind: optimal, delta: 0.05, eps_init: 0.5}\n")
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert "eps_init: 0.5" in full_form(cfg)
+        assert parse_config(full_form(cfg)) == cfg
 
     def test_variance_in_policies_needs_sigma2_at_load(self, tmp_path):
         fields = dict(kind="simulate", channel={"receivers": 2}, epsilon_grid=[0.2],
@@ -402,6 +410,24 @@ class TestParseAndSerialize:
             again = parse_config(serialize_config(cfg))
             assert again == cfg, path
             assert config_digest(again) == config_digest(cfg)
+
+    def test_serialized_config_lists_only_what_the_run_reads(self):
+        import pathlib
+
+        for path in sorted(pathlib.Path("configs").glob("*.yaml")):
+            cfg = load_config(str(path))
+            listed = set(yaml.safe_load(serialize_config(cfg)))
+            assert listed <= {"kind", "seed", "out", *KIND_FIELDS[cfg.kind]}, path
+        solve = yaml.safe_load(serialize_config(ExperimentConfig(**SOLVE_FIELDS)))
+        assert set(solve) == {"kind", "seed", "out", "horizon", "channel"}
+        simulate = parse_config("kind: simulate\nchannel: {receivers: 2}\nepsilon_grid: [0.2]\n"
+                                "policies: [optimal, variance]\npolicy: {sigma2: 4.0}\n")
+        assert yaml.safe_load(serialize_config(simulate))["policy"] == {"sigma2": 4.0}
+        learn = parse_config("kind: learn\nchannel: {receivers: 2, erasure: 0.2}\n"
+                             "policy: {kind: learning}\n")
+        assert yaml.safe_load(serialize_config(learn))["policy"] == {
+            "kind": "learning", "delta": 0.05, "eps_init": 0.5,
+        }
 
     def test_round_trip_with_flows_and_grid(self):
         cfg = ExperimentConfig(

@@ -309,6 +309,23 @@ class TestAllocateSlots:
         with pytest.raises(ConfigError):
             allocate_slots(flows, np.zeros(3), 0.1, 5, curves)
 
+    def test_rejects_fewer_curves_than_flows(self):
+        flows = [flow(0), flow(1)]
+        with pytest.raises(ConfigError, match="one service curve per flow"):
+            allocate_slots(flows, np.zeros(2), 0.1, 5, [service_curve(flows[0], 5)])
+
+    def test_rejects_a_curve_shorter_than_the_horizon(self):
+        flows = [flow(0), flow(1)]
+        curves = [service_curve(flows[0], 5), service_curve(flows[1], 4)]
+        with pytest.raises(ConfigError, match=r"cover budgets 0\.\.5"):
+            allocate_slots(flows, np.zeros(2), 0.1, 5, curves)
+
+    def test_rejects_a_negative_horizon(self):
+        flows = [flow(0), flow(1)]
+        curves = [service_curve(f, 5) for f in flows]
+        with pytest.raises(ConfigError, match="horizon must be >= 0"):
+            allocate_slots(flows, np.zeros(2), 0.1, -1, curves)
+
 
 class TestDeficitPlumbing:
     def test_thinning_extremes(self):
@@ -523,6 +540,11 @@ class TestRunOnline:
             run_online([flow(0), flow(0)], 10, 10, 0.1, RngSpec(1, 0))
         with pytest.raises(ConfigError):
             run_online([flow(0)], 0, 10, 0.1, RngSpec(1, 0))
+
+    def test_rejects_an_empty_horizon(self):
+        # checked before the arrival rules, which divide by the horizon
+        with pytest.raises(ConfigError, match="horizon of at least 1 slot"):
+            run_online([flow(0), flow(1)], 3, 0, 0.1, RngSpec(1))
 
 
 class TestRateRegionSweep:

@@ -38,3 +38,11 @@ def test_command_bullets_name_the_fields_each_kind_reads():
         assert bullet, kind
         named = set(re.findall(r"`(\w+)`", bullet.group(1))) & top_level
         assert named == set(read), kind
+
+
+def test_layout_lists_every_module():
+    layout = re.search(r"^## Layout\n+```\n(.*?)```", README, flags=re.S | re.M)
+    assert layout
+    listed = set(re.findall(r"^  (\w+\.py) ", layout.group(1), flags=re.M))
+    package = Path(adaptnc.__file__).parent
+    assert listed == {p.name for p in package.glob("*.py")} - {"__init__.py"}

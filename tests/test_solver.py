@@ -4,6 +4,7 @@ greedy/conservative baselines, and the retransmission threshold."""
 
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from adaptnc import (
     solve_bruteforce,
     solve_monotone,
 )
-from adaptnc.search import bisect_root, golden_max
 
 
 def linear_argmax(f, lo: int, hi: int) -> int:
@@ -375,10 +375,52 @@ class TestConservativeBlockSize:
             ConservativePolicy(ChannelModel.homogeneous(0.5, 1), -1)
 
 
+def threshold_gap(e, t: int, n: int):
+    """How far one packet's single-shot reward beats two packets', factored
+    as t r e**(t-1) (1 - e) - (r - 1)(1 - e**t) with r = 2**(1/n), the
+    double the solver uses; exact when ``e`` is a Fraction."""
+    r = type(e)(2.0 ** (1.0 / n))
+    return t * r * e ** (t - 1) * (1 - e) - (r - 1) * (1 - e**t)
+
+
+def exact_threshold(t: int, n: int) -> float:
+    """Sign change of the exact gap, bisected in rationals to 2**-80 and
+    rounded to the nearest double."""
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(80):
+        e = (lo + hi) / 2
+        if threshold_gap(e, t, n) > 0:
+            hi = e
+        else:
+            lo = e
+    return float(hi)
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """Doubles between two non-negative doubles, counting one end."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def _threshold_cases(count: int, seed: int):
+    """The corners (2, 1), (60, 1), (60, 20) and seeded (t, n), t <= 60, n <= 20."""
+    rng = random.Random(seed)
+    return [(2, 1), (60, 1), (60, 20)] + [
+        (rng.randint(2, 60), rng.randint(1, 20)) for _ in range(count)
+    ]
+
+
 class TestRetransmissionThreshold:
     def test_closed_form_two_slots(self):
         # with t=2, N=1 the crossover solves 1 + eps = 2 (1 - eps)
-        assert retransmission_threshold(2, 1) == pytest.approx(1.0 / 3.0, abs=1e-9)
+        assert retransmission_threshold(2, 1) == 1.0 / 3.0
+
+    @pytest.mark.parametrize("t, n", _threshold_cases(40, 1203))
+    def test_within_two_ulps_of_the_exact_crossing(self, t, n):
+        eps = retransmission_threshold(t, n)
+        assert ulps_apart(eps, exact_threshold(t, n)) <= 2
+        # the smallest double at which one packet wins
+        assert threshold_gap(eps, t, n) > 0
+        assert not threshold_gap(float(np.nextafter(eps, 0.0)), t, n) > 0
 
     def test_monotone_in_horizon_and_receivers(self):
         values = {
@@ -425,13 +467,3 @@ class TestPolicyTableCsv:
         with pytest.raises(ValueError):
             table.value[1] = 7.0
 
-
-class TestSearchUtilities:
-    def test_golden_max_on_parabola(self):
-        top = golden_max(lambda x: -(x - 0.37) ** 2, 0.0, 1.0)
-        assert abs(top - 0.37) < 1e-6
-
-    def test_bisect_root(self):
-        assert bisect_root(lambda x: x - 0.25, 0.0, 1.0) == pytest.approx(0.25, abs=1e-9)
-        with pytest.raises(ValueError):
-            bisect_root(lambda x: x + 1.0, 0.0, 1.0)
