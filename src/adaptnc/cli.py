@@ -23,6 +23,8 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import ConfigError, InvariantViolation
 from .multiflow import rate_region_sweep, run_online
 from .policies import LearningPolicy, OptimalPolicy, make_policy
 from .rng import RngSpec
-from .simulate import learning_run, monte_carlo_throughput
+from .simulate import learning_run, map_cells, monte_carlo_throughput
 from .solver import retransmission_threshold, solve_monotone
 
 SCHEMA_VERSION = 1
@@ -108,40 +110,30 @@ def cmd_solve(config: ExperimentConfig) -> tuple[dict, list]:
     )
 
 
-def _simulate_cell(args):
-    eps, kind, horizon, receivers, backlog, replications, seed, stream, params = args
-    channel = ChannelModel.homogeneous(eps, receivers)
-    policy = make_policy(kind, channel, horizon, **params)
+def _simulate_cell(config: ExperimentConfig, i: int, j: int) -> tuple:
+    """Row of the simulate sweep for epsilon i and policy j of the config;
+    module-level so worker pools can pickle it."""
+    eps, kind = config.epsilon_grid[i], config.policies[j]
+    channel = ChannelModel.homogeneous(eps, config.channel.n_receivers)
+    policy = make_policy(
+        kind, channel, config.horizon, sigma2=config.policy.sigma2,
+        delta=config.policy.delta, eps_init=config.policy.eps_init,
+    )
+    backlog = config.backlog if config.backlog is not None else config.horizon
+    stream = (i * len(config.policies) + j) << 32
     summary = monte_carlo_throughput(
-        policy, horizon, backlog, channel, replications, RngSpec(seed, stream)
+        policy, config.horizon, backlog, channel, config.replications,
+        RngSpec(config.seed, stream),
     )
     return eps, kind, summary.mean, summary.stderr
 
 
 def cmd_simulate(config: ExperimentConfig, workers: int = 1) -> tuple[dict, list]:
-    receivers = config.channel.n_receivers
-    backlog = config.backlog if config.backlog is not None else config.horizon
-    params = {
-        "sigma2": config.policy.sigma2,
-        "delta": config.policy.delta,
-        "eps_init": config.policy.eps_init,
-    }
-    jobs = []
-    for i, eps in enumerate(config.epsilon_grid):
-        for j, kind in enumerate(config.policies):
-            stream = (i * len(config.policies) + j) << 32
-            jobs.append((eps, kind, config.horizon, receivers, backlog,
-                         config.replications, config.seed, stream, params))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_simulate_cell, jobs))
-    else:
-        rows = [_simulate_cell(job) for job in jobs]
+    cells = product(range(len(config.epsilon_grid)), range(len(config.policies)))
+    rows = map_cells(partial(_simulate_cell, config), cells, workers)
     return (
         {"simulate.csv": (("epsilon", "policy", "mean", "stderr"), rows)},
-        [f"simulated {len(jobs)} (epsilon, policy) cells x {config.replications} replications"],
+        [f"simulated {len(rows)} (epsilon, policy) cells x {config.replications} replications"],
     )
 
 

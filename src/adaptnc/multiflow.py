@@ -13,6 +13,7 @@ is lost, never queued.
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .channel import ChannelModel
 from .errors import ConfigError
 from .policies import OptimalPolicy
 from .rng import RngSpec
-from .simulate import simulate_frame
+from .simulate import map_cells, simulate_frame
 from .solver import PolicyTable, solve_monotone
 
 INTRA_POLICIES = ("optimal", "retransmission")
@@ -195,6 +196,18 @@ def deficit_slope(series) -> float:
     return float(np.polyfit(np.arange(len(tail)), tail, 1)[0])
 
 
+def _check_flows(flows: list, horizon: int):
+    """Reject a flow list no frame of ``horizon`` slots can serve, before any
+    work: the horizon first, since the arrival checks divide by it, then
+    duplicate flow ids, then each flow's arrival settings."""
+    if horizon < 1:
+        raise ConfigError("service curve needs a horizon of at least 1 slot")
+    if len({f.flow_id for f in flows}) != len(flows):
+        raise ConfigError("flow ids must be unique")
+    for f in flows:
+        f.check_arrivals(horizon)
+
+
 @dataclass
 class StaticDualTrace:
     """Deterministic multiplier iteration on the fluid-scale problem."""
@@ -225,6 +238,7 @@ def static_dual_iteration(
     """
     if iterations < 1:
         raise ConfigError("need at least one iteration")
+    _check_flows(flows, horizon)
     n_flows = len(flows)
     curves = [service_curve(f, horizon) for f in flows]
     need = np.array([f.arrival_rate * f.delivery_ratio for f in flows])
@@ -308,12 +322,7 @@ def run_online(
     """
     if frames < 1:
         raise ConfigError("need at least one frame")
-    if horizon < 1:
-        raise ConfigError("service curve needs a horizon of at least 1 slot")
-    if len({f.flow_id for f in flows}) != len(flows):
-        raise ConfigError("flow ids must be unique")
-    for f in flows:
-        f.check_arrivals(horizon)
+    _check_flows(flows, horizon)
     n_flows = len(flows)
     curves = [service_curve(f, horizon, intra) for f in flows]
     policies = [OptimalPolicy(_intra_plan(f, horizon, intra)) for f in flows]
@@ -370,15 +379,13 @@ class RegionMap:
     stable_retx: np.ndarray
 
 
-def _sweep_cell(args):
-    """One grid point of a region sweep; module-level so worker pools can
-    pickle it. Returns (ix, iy, stable under coding, stable under retx)."""
-    ix, iy, pair, frames, horizon, rho, rng = args
-    flags = []
-    for j, intra in enumerate(INTRA_POLICIES):
-        trace = run_online(pair, frames, horizon, rho, rng.shifted(j << 32), intra=intra)
-        flags.append(trace.is_stable())
-    return ix, iy, flags[0], flags[1]
+def _sweep_cell(frames: int, horizon: int, rho: float, rng: RngSpec, cell: int, pair: list):
+    """Grid point ``cell`` of a region sweep; module-level so worker pools can
+    pickle it. Returns (stable under coding, stable under retransmission)."""
+    return [
+        run_online(pair, frames, horizon, rho, rng.shifted((2 * cell + j) << 32), intra).is_stable()
+        for j, intra in enumerate(INTRA_POLICIES)
+    ]
 
 
 def rate_region_sweep(
@@ -396,40 +403,23 @@ def rate_region_sweep(
     The two template flows get the grid values on ``axis`` (first flow takes
     the x value, second the y value); each point runs the online loop twice —
     optimal intra-flow blocks and plain retransmission — and is stable when
-    no flow's deficit trend exceeds STABILITY_SLOPE per frame. Each (point,
-    mode) pair draws from its own stream block, so results are identical
-    whether cells run serially or across ``workers`` processes.
+    no flow's deficit trend exceeds STABILITY_SLOPE per frame. Every point's
+    flows are checked before the first one runs. Each (point, mode) pair
+    draws from its own stream block, so results are identical whether cells
+    run serially or across ``workers`` processes.
     """
     if len(flows) != 2:
         raise ConfigError("region sweep expects exactly two template flows")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     values = np.array(grid, dtype=float)
-    jobs = []
-    for ix, x in enumerate(values):
-        for iy, y in enumerate(values):
-            pair = [
-                replace(flows[0], **{axis: float(x)}),
-                replace(flows[1], **{axis: float(y)}),
-            ]
-            cell = ix * len(values) + iy
-            jobs.append((ix, iy, pair, frames, horizon, rho, rng.shifted((2 * cell) << 32)))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, jobs))
-    else:
-        results = [_sweep_cell(job) for job in jobs]
-
-    stable_nc = np.zeros((len(values), len(values)), dtype=bool)
-    stable_retx = np.zeros_like(stable_nc)
-    for ix, iy, nc_ok, retx_ok in results:
-        stable_nc[ix, iy] = nc_ok
-        stable_retx[ix, iy] = retx_ok
-    return RegionMap(
-        axis=axis,
-        grid=values,
-        stable_nc=stable_nc,
-        stable_retx=stable_retx,
-    )
+    pairs = [
+        [replace(flows[0], **{axis: float(x)}), replace(flows[1], **{axis: float(y)})]
+        for x in values
+        for y in values
+    ]
+    for pair in pairs:
+        _check_flows(pair, horizon)
+    flags = map_cells(partial(_sweep_cell, frames, horizon, rho, rng), enumerate(pairs), workers)
+    stable = np.array(flags, dtype=bool).reshape(len(values), len(values), 2)
+    return RegionMap(axis=axis, grid=values, stable_nc=stable[..., 0], stable_retx=stable[..., 1])

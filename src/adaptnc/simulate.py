@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
+from .errors import ConfigError
 from .policies import BlockPolicy, LearningPolicy
 from .rng import RngSpec, fill_uniform, frame_bits
 
@@ -297,3 +298,17 @@ def learning_run(
         )
     return records
 
+
+def map_cells(cell, cells, workers: int) -> list:
+    """``[cell(*args) for args in cells]``, in order: in this process for one
+    worker, over a pool of ``workers`` processes for more (``cell`` and its
+    arguments must then pickle). Sweeps key each cell's streams by its
+    position, so the results never depend on the worker count."""
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
+    if workers == 1:
+        return [cell(*args) for args in cells]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(cell, *zip(*cells)))

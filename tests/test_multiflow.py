@@ -470,6 +470,11 @@ class TestStaticDual:
         with pytest.raises(ConfigError):
             static_dual_iteration([flow(0)], 10, 0.1, 0)
 
+    def test_rejects_duplicate_flow_ids(self):
+        # the same flow list run_online rejects
+        with pytest.raises(ConfigError, match="flow ids must be unique"):
+            static_dual_iteration([flow(0), flow(0)], 10, 0.1, 5)
+
 
 class TestRunOnline:
     def test_determinism(self):
@@ -580,6 +585,27 @@ class TestRateRegionSweep:
         )
         assert np.array_equal(serial.stable_nc, pooled.stable_nc)
         assert np.array_equal(serial.stable_retx, pooled.stable_retx)
+
+    def test_rejects_nonpositive_workers(self):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            rate_region_sweep([flow(0), flow(1)], [0.5], 10, 0.1, 50, RngSpec(1), workers=0)
+
+    def test_checks_every_cell_before_running_one(self, monkeypatch):
+        real = multiflow.run_online
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(multiflow, "run_online", counting)
+        # cells (0, 0) and (0, 1) can run; (0, 2) asks 50 arrivals of 10 batches
+        with pytest.raises(ConfigError, match="exceeds 10 Bernoulli batches"):
+            rate_region_sweep(
+                [flow(0), flow(1)], [1.0, 2.0, 50.0], 10, 0.1, 200, RngSpec(1),
+                axis="arrival_rate",
+            )
+        assert calls == []
 
     def test_validation(self):
         with pytest.raises(ConfigError):
