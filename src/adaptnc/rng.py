@@ -7,12 +7,13 @@ of (seed, stream, slot, receiver): replications can run in any order, split
 across processes, or be replayed one at a time, and the traces never change.
 
 Short-lived streams (one per frame or replication) are not given a generator
-of their own: ``fill_uniform`` re-keys one Philox bit generator per thread to
-(seed, stream) with counter 0 and an empty buffer, which yields exactly the
-draws a fresh ``RngSpec(seed, stream).generator()`` would, at a fraction of
-the cost of building one. The (seed, stream, slot, receiver) address of every
-draw is unchanged. Long-lived streams that are consumed across many calls use
-``RngSpec.generator()``.
+of their own: ``fill_streams`` re-keys one Philox bit generator per thread to
+(seed, stream) with counter 0 and an empty buffer, for each stream of a block
+in turn, which yields exactly the draws a fresh
+``RngSpec(seed, stream).generator()`` would, at a fraction of the cost of
+building one; ``fill_uniform`` is its one-stream case. The (seed, stream,
+slot, receiver) address of every draw is unchanged. Long-lived streams that
+are consumed across many calls use ``RngSpec.generator()``.
 """
 
 import threading
@@ -50,11 +51,11 @@ class _Rekeyable(threading.local):
     freshly constructed. The dict holds plain ints and lists, which the state
     setter reads far faster than numpy arrays. Setting ``bit_generator.state``
     copies the values out of the dict, so the template never changes except
-    for its key."""
+    for its key. ``parts`` holds what ``fill_streams`` uses, so that a call
+    reads the thread-local object once."""
 
     def __init__(self):
         self.bit_generator = np.random.Philox(key=np.zeros(2, dtype=_U64))
-        self.generator = np.random.Generator(self.bit_generator)
         self.key = [0, 0]
         self.state = {
             "bit_generator": "Philox",
@@ -64,23 +65,41 @@ class _Rekeyable(threading.local):
             "has_uint32": 0,
             "uinteger": 0,
         }
+        random = np.random.Generator(self.bit_generator).random
+        self.parts = (self.key, self.state, self.bit_generator, random)
 
 
 _REKEYABLE = _Rekeyable()
 
 
+def fill_streams(seed: int, stream: int, frames) -> None:
+    """Fill each float64 array of ``frames`` in turn with the first uniforms
+    of streams (seed, stream), (seed, stream + 1), ..., taken modulo 2**64.
+
+    Frame j is bit for bit equal to
+    ``RngSpec(seed, (stream + j) % 2**64).generator().random(frame.shape)``;
+    ``seed`` and ``stream`` must fit in 64 bits. Each stream re-keys this
+    thread's Philox bit generator and resets it from the template, so a block
+    of streams builds no generator and no key array.
+    """
+    key, state, bit_generator, random = _REKEYABLE.parts
+    key[0] = seed
+    for frame in frames:
+        key[1] = stream
+        bit_generator.state = state
+        random(out=frame)
+        stream = (stream + 1) % 2**64
+
+
 def fill_uniform(seed: int, stream: int, out: np.ndarray) -> np.ndarray:
     """Fill the float64 array ``out`` with the first ``out.size`` uniforms of
-    stream (seed, stream) and return it.
+    stream (seed, stream) and return it: ``fill_streams`` of one frame.
 
     Bit for bit equal to ``RngSpec(seed, stream).generator().random(out.shape)``;
     both arguments must fit in 64 bits.
     """
-    local = _REKEYABLE
-    local.key[0] = seed
-    local.key[1] = stream
-    local.bit_generator.state = local.state
-    return local.generator.random(out=out)
+    fill_streams(seed, stream, (out,))
+    return out
 
 
 def frame_bits(rng: RngSpec, horizon: int, erasures) -> np.ndarray:

@@ -13,6 +13,10 @@ The batch engine first builds a reception index of each replication: per
 each reception by its ordinal (``slot_of``). A block step then reads where
 each receiver's k-th reception after the block's start falls with one gather,
 so a replication costs time linear in the horizon, whatever the plan.
+Replications run in chunks sized by a fixed budget of (slot, receiver) cells.
+Every chunk builds its index in the same two arrays and draws its streams in
+small blocks into one reused buffer, so the engine's working set depends on
+the frame's shape and not on the number of replications.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ import numpy as np
 from .channel import ChannelModel
 from .errors import ConfigError
 from .policies import BlockPolicy, LearningPolicy
-from .rng import RngSpec, fill_uniform, frame_bits
+from .rng import RngSpec, fill_streams, frame_bits
 
 
 @dataclass
@@ -117,71 +121,72 @@ class ThroughputSummary:
     samples: np.ndarray | None = None
 
 
-# Batch-engine chunks: at most _MAX_CHUNK replications, and few enough that
-# one chunk's arrays fit in _CHUNK_BYTES.
-_MAX_CHUNK = 65536
-_CHUNK_BYTES = 256 * 2**20
+# Batch-engine chunks: as many replications as fit _CHUNK_CELLS cells of the
+# reception index, (horizon + 1) per receiver, but never fewer than
+# _MIN_CHUNK. Below T = 255 a cell takes 1 byte in csum and 1 in slot_of, so
+# the index takes 4 MiB; the block steps' int64 arrays, one entry per
+# receiver of a replication, are a few of 16 MiB / (T + 1) each. The floor
+# takes over once (T + 1) * n passes 2048, and keeps the block-step loop, up
+# to one step per slot, spread over enough replications.
+_CHUNK_CELLS = 2**21
+_MIN_CHUNK = 1024
 # Draw blocks: as many replications as keep a block to about this many
 # (slot, receiver) cells, so that its float draws and int64 scatter targets
 # take at most 512 KiB each, whatever the chunk size.
 _DRAW_CELLS = 2**16
 
 
-def _reception_index(horizon, erasures, seed, streams):
-    """The reception index of each stream's frame, receiver-major.
+def _reception_index(horizon, erasures, rng, csum, slot_of):
+    """Write the reception index of the frames of streams rng.stream .. + c - 1
+    into ``csum`` and ``slot_of``, two (c, receivers, horizon + 1) arrays of
+    the smallest unsigned type that holds horizon + 1, with ``csum[:, :, 0]``
+    already 0.
 
-    ``csum[r, i, s]`` counts receiver i's receptions in the first s slots of
-    stream r, for s = 0..horizon. ``slot_of[r, i, j]`` is the 1-based slot of
-    its (j+1)-th reception, for j below ``csum[r, i, horizon]``; the entries
-    past that, and the last column, hold nothing. Both are in the smallest
-    unsigned type that holds horizon + 1.
+    Receiver-major: ``csum[r, i, s]`` counts receiver i's receptions in the
+    first s slots of replication r, for s = 0..horizon. ``slot_of[r, i, j]``
+    is the 1-based slot of its (j+1)-th reception, for j below
+    ``csum[r, i, horizon]``, and 0 from there to j = horizon - 1; the last
+    column holds nothing.
 
-    The streams are drawn in small blocks, one ``fill_uniform`` call each into
-    a reused buffer, with the bits of ``frame_bits``. ``slot_of`` is built by
-    scattering each reception's slot to its ordinal, read from ``csum``; a
-    slot without a reception goes to the row's last column.
+    The streams are drawn in small blocks, one ``fill_streams`` call each
+    into a reused buffer, with the bits of ``frame_bits``. ``slot_of`` is
+    built by scattering each reception's slot to its ordinal, read from
+    ``csum``; a slot without a reception goes to the row's last column.
     """
-    c, n = len(streams), len(erasures)
-    dtype = np.min_scalar_type(horizon + 1)
+    c, n = len(csum), len(erasures)
+    dtype = csum.dtype
     receive = (1.0 - np.asarray(erasures))[:, None]
-    csum = np.zeros((c, n, horizon + 1), dtype=dtype)
-    slot_of = np.empty((c, n, horizon + 1), dtype=dtype)
     slots = np.arange(1, horizon + 1, dtype=dtype)
     block = max(1, min(c, _DRAW_CELLS // (horizon * n)))
     u = np.empty((block, horizon, n))
     frames = list(u)
     bits = np.empty((block, n, horizon), dtype=bool)
+    flat_slot = slot_of.reshape(-1)
     for lo in range(0, c, block):
         b = min(block, c - lo)
-        for frame, stream in zip(frames, streams[lo : lo + b]):
-            fill_uniform(seed, stream, frame)
+        fill_streams(rng.seed, rng.shifted(lo).stream, frames[:b])
         np.less(u[:b].transpose(0, 2, 1), receive, out=bits[:b])
         counts = csum[lo : lo + b]
         np.cumsum(bits[:b], axis=2, dtype=dtype, out=counts[:, :, 1:])
         ordinal = np.where(bits[:b], counts[:, :, :-1], horizon)
         rows = np.arange(lo * n, (lo + b) * n).reshape(b, n, 1) * (horizon + 1)
-        slot_of.reshape(-1)[rows + ordinal] = slots
-    return csum, slot_of
+        slot_of[lo : lo + b] = 0
+        flat_slot[rows + ordinal] = slots
 
 
-def _batch_delivered(k_vec, horizon, backlog, erasures, seed, streams) -> np.ndarray:
-    """Delivered counts for many replications of a plan.
+def _block_steps(k_vec, horizon, backlog, csum, slot_of) -> np.ndarray:
+    """Delivered counts of a plan on each replication of a reception index.
 
-    Exactly reproduces simulate_frame(policy with this plan, stream s) for
-    each stream: same Philox keys, same bits, same block semantics. With the
-    reception index of every stream, a block step is a gather with no scan
-    over slots. A block of k packets started at slot ``start`` needs receiver
-    i's reception number ``need = csum[start] + k - 1`` (counted from 0); it
-    completes iff that reception exists for every receiver, and then ends at
-    the latest of their ``slot_of[need]``. The cost is linear in the horizon.
+    A block step is a gather with no scan over slots. A block of k packets
+    started at slot ``start`` needs receiver i's reception number
+    ``need = csum[start] + k - 1`` (counted from 0): it completes iff no
+    receiver's ``slot_of[need]`` is 0, and then ends at the latest of them.
+    A plan's block never exceeds the slots left (``BlockPolicy`` clips it),
+    so need < horizon. The cost is linear in the horizon.
     """
-    c, n = len(streams), len(erasures)
+    c, n = csum.shape[:2]
     delivered = np.zeros(c, dtype=np.int64)
-    if horizon == 0 or backlog == 0:
-        return delivered
-    csum, slot_of = _reception_index(horizon, erasures, seed, streams)
     flat_csum, flat_slot = csum.reshape(-1), slot_of.reshape(-1)
-    total = csum[:, :, horizon]
     row_base = (np.arange(c)[:, None] * n + np.arange(n)) * (horizon + 1)
 
     t = np.full(c, horizon, dtype=np.int64)
@@ -193,15 +198,38 @@ def _batch_delivered(k_vec, horizon, backlog, erasures, seed, streams) -> np.nda
             raise ValueError("policy proposed an empty block mid-frame")
         base = row_base[active]
         need = flat_csum[base + (horizon - t[active])[:, None]] + (k - 1)[:, None]
-        ok = (need < total[active]).all(axis=1)
+        slot = flat_slot[base + need]
+        ok = slot.all(axis=1)
 
         done = active[ok]
-        end = flat_slot[base[ok] + need[ok]].max(axis=1)
         delivered[done] += k[ok]
         m[done] -= k[ok]
-        t[done] = horizon - end
+        t[done] = horizon - slot[ok].max(axis=1)
         t[active[~ok]] = 0
         active = active[(t[active] > 0) & (m[active] > 0)]
+    return delivered
+
+
+def _batch_delivered(k_vec, horizon, backlog, erasures, rng, replications) -> np.ndarray:
+    """Delivered counts of a plan on streams rng.stream .. + replications - 1.
+
+    Exactly reproduces simulate_frame(policy with this plan, rng.shifted(r))
+    for each replication r: same Philox keys, same bits, same block
+    semantics. The replications run in chunks of the size the chunk rule
+    gives, and every chunk builds its reception index in the same two arrays,
+    so the working set is set by the frame's shape alone.
+    """
+    delivered = np.zeros(replications, dtype=np.int64)
+    if horizon == 0 or backlog == 0:
+        return delivered
+    n = len(erasures)
+    chunk = min(replications, max(_MIN_CHUNK, _CHUNK_CELLS // ((horizon + 1) * n)))
+    csum = np.zeros((chunk, n, horizon + 1), dtype=np.min_scalar_type(horizon + 1))
+    slot_of = np.empty_like(csum)
+    for lo in range(0, replications, chunk):
+        c = min(chunk, replications - lo)
+        _reception_index(horizon, erasures, rng.shifted(lo), csum[:c], slot_of[:c])
+        delivered[lo : lo + c] = _block_steps(k_vec, horizon, backlog, csum[:c], slot_of[:c])
     return delivered
 
 
@@ -219,8 +247,8 @@ def monte_carlo_throughput(
     Replication r uses stream rng.stream + r, so results are identical
     whether replications run batched, chunked, or one by one, and any single
     replication can be replayed with simulate_frame for inspection. The
-    batch engine runs as many replications at a time as fit a fixed memory
-    budget for the frame's slots x receivers.
+    batch engine runs replications in chunks sized by the frame's slots x
+    receivers, so its working set does not grow with the replication count.
     A plan goes through the batch engine; the learning policy, which has no
     plan, runs frame by frame and is reset between replications.
     """
@@ -237,21 +265,9 @@ def monte_carlo_throughput(
             delivered[r] = trace.delivered
     else:
         k_vec = np.asarray(k_vec, dtype=np.int64)
-        # _batch_delivered holds about 10 bytes per (slot, receiver) of a
-        # replication from T = 6 up: its reception index (csum and slot_of,
-        # 1 byte each below T = 255, 2 below T = 65535) and the block steps'
-        # int64 arrays, about 56 bytes per receiver. On shorter frames those
-        # arrays dominate. The draws go through a small reused buffer.
-        per_replication = 10 * (horizon + 1) * channel.n_receivers
-        chunk = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_replication))
-        parts = []
-        for lo in range(0, replications, chunk):
-            hi = min(lo + chunk, replications)
-            streams = [(rng.stream + r) % 2**64 for r in range(lo, hi)]
-            parts.append(
-                _batch_delivered(k_vec, horizon, backlog, channel.erasures, rng.seed, streams)
-            )
-        delivered = np.concatenate(parts)
+        delivered = _batch_delivered(
+            k_vec, horizon, backlog, channel.erasures, rng, replications
+        )
 
     mean = float(delivered.mean())
     var = float(delivered.var(ddof=1)) if replications > 1 else 0.0

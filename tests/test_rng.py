@@ -1,7 +1,7 @@
-"""Re-keyed stream draws: fill_uniform must reproduce a freshly built
-generator bit for bit, leave live generators alone, keep per-thread state
-apart, and let the batch engine run without building a generator per
-replication."""
+"""Re-keyed stream draws: fill_streams and its one-stream case fill_uniform
+must reproduce a freshly built generator bit for bit, leave live generators
+alone, keep per-thread state apart, and let the batch engine run without
+building a generator per replication."""
 
 import sys
 import threading
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adaptnc import ChannelModel, OptimalPolicy, RngSpec, monte_carlo_throughput, solve_monotone
-from adaptnc.rng import _REKEYABLE, fill_uniform
+from adaptnc.rng import _REKEYABLE, fill_streams, fill_uniform
 
 U64_MAX = 2**64 - 1
 
@@ -34,6 +34,25 @@ def test_consecutive_draws_do_not_carry_state():
         fill_uniform(1, stream, np.empty((1, 1)))
         fill_uniform(2, stream, out)
         assert np.array_equal(out, RngSpec(2, stream).generator().random((3, 1)))
+
+
+@pytest.mark.parametrize(
+    "seed, stream", [(0, 0), (0, U64_MAX), (U64_MAX, 0), (U64_MAX, U64_MAX), (7, U64_MAX - 1)]
+)
+def test_block_matches_fresh_generators_stream_by_stream(seed, stream):
+    # streams count up modulo 2**64, so the blocks from U64_MAX - 1 and
+    # U64_MAX wrap to stream 0; 15 draws a frame leave Philox mid-buffer, and
+    # the next stream must not see the rest
+    template = _plain(_REKEYABLE.state)
+    frames = list(np.empty((4, 5, 3)))
+    fill_streams(seed, stream, frames)
+    for j, frame in enumerate(frames):
+        expected = RngSpec(seed, (stream + j) % 2**64).generator().random((5, 3))
+        assert np.array_equal(frame, expected), j
+    last = (stream + 3) % 2**64
+    assert _plain(_REKEYABLE.state) == {
+        **template, "state": {**template["state"], "key": [seed, last]}
+    }
 
 
 def _plain(state):
@@ -83,11 +102,14 @@ def test_threads_draw_their_own_streams():
 
     def worker(tid):
         try:
-            out = np.empty((6, 3))
-            for stream in range(200):
+            out, frames = np.empty((6, 3)), list(np.empty((4, 6, 3)))
+            for stream in range(0, 200, 5):
                 fill_uniform(tid, stream, out)
+                fill_streams(tid, stream + 1, frames)
                 if stream % 20 == 0:
                     results[(tid, stream)] = out.copy()
+                    for j, frame in enumerate(frames, 1):
+                        results[(tid, stream + j)] = frame.copy()
         except Exception as exc:  # reported through `errors` below
             errors.append(exc)
 
@@ -103,7 +125,7 @@ def test_threads_draw_their_own_streams():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert len(results) == 4 * 10
+    assert len(results) == 4 * 10 * 5
     for (tid, stream), got in results.items():
         assert np.array_equal(got, RngSpec(tid, stream).generator().random((6, 3)))
 

@@ -2,6 +2,8 @@
 deterministic channels, bit-level agreement between the per-slot engine and
 the batched engine, and Monte Carlo consistency with the planner's value."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,45 @@ from adaptnc import (
 def fixed_table(k_star):
     k = np.asarray(k_star, dtype=int)
     return PolicyTable(k_star=k, k_greedy=k.copy(), value=np.zeros(len(k)))
+
+
+def _pieces(total, size):
+    """Sizes of the consecutive runs of at most ``size`` that cover ``total``."""
+    return [min(size, total - lo) for lo in range(0, total, size)]
+
+
+def _record_batches(monkeypatch):
+    """Record the size of each chunk the batch engine runs and of each draw
+    block it fills, in two lists that the engine appends to."""
+    from adaptnc import simulate
+
+    chunks, blocks = [], []
+    index, fill = simulate._reception_index, simulate.fill_streams
+
+    def record_chunk(horizon, erasures, rng, csum, slot_of):
+        chunks.append(len(csum))
+        index(horizon, erasures, rng, csum, slot_of)
+
+    def record_block(seed, stream, frames):
+        blocks.append(len(frames))
+        fill(seed, stream, frames)
+
+    monkeypatch.setattr(simulate, "_reception_index", record_chunk)
+    monkeypatch.setattr(simulate, "fill_streams", record_block)
+    return chunks, blocks
+
+
+def _split_batches(monkeypatch, horizon, n_receivers, rows, block=None):
+    """Set the chunk rule's budget so that frames of this shape run ``rows``
+    replications a chunk and, when given, ``block`` a draw block; record the
+    sizes as ``_record_batches`` does."""
+    from adaptnc import simulate
+
+    monkeypatch.setattr(simulate, "_MIN_CHUNK", 1)
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", rows * (horizon + 1) * n_receivers)
+    if block is not None:
+        monkeypatch.setattr(simulate, "_DRAW_CELLS", block * horizon * n_receivers)
+    return _record_batches(monkeypatch)
 
 
 def rescore_trace(trace, bits) -> int:
@@ -226,51 +267,65 @@ class TestEngineAgreement:
         else:
             policy = RetransmissionPolicy(horizon)
         assert reps > simulate._DRAW_CELLS // (horizon * ch.n_receivers)
-        default_chunk = simulate._MAX_CHUNK
+        rows, block = 7, 3
         for backlog in (0, 1, horizon, horizon + 2):
             stepped = [
                 simulate_frame(policy, horizon, backlog, ch, RngSpec(23, 5 + r)).delivered
                 for r in range(reps)
             ]
-            for chunk in (default_chunk, 7):
-                monkeypatch.setattr(simulate, "_MAX_CHUNK", chunk)
-                summary = monte_carlo_throughput(
-                    policy, horizon, backlog, ch, reps, RngSpec(23, 5), keep_samples=True
-                )
-                assert summary.samples.tolist() == stepped, (backlog, chunk)
+            summary = monte_carlo_throughput(
+                policy, horizon, backlog, ch, reps, RngSpec(23, 5), keep_samples=True
+            )
+            assert summary.samples.tolist() == stepped, backlog
+            with monkeypatch.context() as patch:
+                chunks, blocks = _split_batches(patch, horizon, ch.n_receivers, rows, block)
+                for count in (reps, rows - 1, rows, rows + 1):
+                    chunks.clear()
+                    blocks.clear()
+                    summary = monte_carlo_throughput(
+                        policy, horizon, backlog, ch, count, RngSpec(23, 5), keep_samples=True
+                    )
+                    assert summary.samples.tolist() == stepped[:count], (backlog, count)
+                    # with no backlog there is nothing to draw
+                    assert chunks == (_pieces(count, rows) if backlog else [])
+                    assert blocks == [b for c in chunks for b in _pieces(c, block)]
 
     def test_chunked_batches_match_one_big_batch(self, monkeypatch):
-        from adaptnc import simulate
-
         ch = ChannelModel.homogeneous(0.3, 2)
         policy = OptimalPolicy(solve_monotone(6, ch))
-        whole = monte_carlo_throughput(
-            policy, 6, 6, ch, 300, RngSpec(8, 0), keep_samples=True
-        )
-        for chunk in (1, 7, 64, 65536):
-            monkeypatch.setattr(simulate, "_MAX_CHUNK", chunk)
-            pieces = monte_carlo_throughput(
-                policy, 6, 6, ch, 300, RngSpec(8, 0), keep_samples=True
+        with monkeypatch.context() as patch:
+            chunks, _ = _record_batches(patch)
+            whole = monte_carlo_throughput(
+                policy, 6, 6, ch, 65537, RngSpec(8, 0), keep_samples=True
             )
-            assert (whole.samples == pieces.samples).all(), chunk
+            assert chunks == [65537]
+        for rows in (1, 7, 64, 65536):
+            with monkeypatch.context() as patch:
+                chunks, blocks = _split_batches(patch, 6, 2, rows)
+                for count in sorted({300, rows - 1, rows, rows + 1} - {0}):
+                    chunks.clear()
+                    blocks.clear()
+                    pieces = monte_carlo_throughput(
+                        policy, 6, 6, ch, count, RngSpec(8, 0), keep_samples=True
+                    )
+                    assert (pieces.samples == whole.samples[:count]).all(), (rows, count)
+                    assert chunks == _pieces(count, rows)
+                    assert len(blocks) >= len(chunks)
 
-    def test_default_chunk_fits_the_memory_budget(self, monkeypatch):
-        from adaptnc import simulate
-
-        sizes = []
-
-        def record(k_vec, horizon, backlog, erasures, seed, streams):
-            assert list(streams) == list(range(sum(sizes), sum(sizes) + len(streams)))
-            sizes.append(len(streams))
-            return np.zeros(len(streams), dtype=np.int64)
-
-        monkeypatch.setattr(simulate, "_batch_delivered", record)
+    @pytest.mark.parametrize("replications", [4_000, 40_000])
+    def test_batch_working_set_is_bounded(self, replications):
+        # chunks take a fixed budget of (slot, receiver) cells, so the peak
+        # stays put when the replication count grows tenfold; holding a whole
+        # run's reception index would take 15 MiB per 4 000 replications
         ch = ChannelModel.homogeneous(0.3, 20)
-        policy = OptimalPolicy(fixed_table([0] + [1] * 100))
-        monte_carlo_throughput(policy, 100, 100, ch, 70_000, RngSpec(9, 0))
-        # about 10 bytes per (slot, receiver) of each replication in a chunk
-        assert all(size * 10 * 101 * 20 <= simulate._CHUNK_BYTES for size in sizes)
-        assert len(sizes) > 1 and sum(sizes) == 70_000
+        policy = OptimalPolicy(solve_monotone(100, ch))
+        tracemalloc.start()
+        try:
+            monte_carlo_throughput(policy, 100, 100, ch, replications, RngSpec(9, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
     def test_mid_frame_zero_block_is_rejected(self):
         ch = ChannelModel.homogeneous(0.5, 1)
