@@ -4,8 +4,9 @@ Every command reads one YAML config (plus optional --seed/--out overrides),
 writes plain CSV files and a run manifest into the output directory, and is
 deterministic given (config, seed). Exit codes: 0 success, 2 bad
 configuration or an output path that cannot be written, 3 a runtime
-invariant check failed or the decode table or solver hit a floating-point
-overflow, division by zero or invalid value (a bug signal, never silenced).
+invariant check failed or the command hit a floating-point overflow,
+division by zero or invalid value (a bug signal, never silenced): every
+command runs under np.errstate(over, divide, invalid = "raise").
 Each command computes and checks its whole result before anything is
 written: a run that exits 3, or 2 on a bad config, writes nothing, and so
 does one whose output directory cannot be made.
@@ -278,12 +279,11 @@ def main(argv=None) -> int:
             config = replace(config, **overrides)
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
-        if args.command in _POOLED:
-            files, lines = _COMMANDS[args.command](config, workers=args.workers)
-        elif args.workers != 1:
+        if args.command not in _POOLED and args.workers != 1:
             raise ConfigError(f"{args.command} does not read --workers: leave it out")
-        else:
-            files, lines = _COMMANDS[args.command](config)
+        pooled = {"workers": args.workers} if args.command in _POOLED else {}
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            files, lines = _COMMANDS[args.command](config, **pooled)
         _write_outputs(config, files, lines)
         return 0
     except ConfigError as exc:

@@ -2,19 +2,25 @@
 
 Configs are YAML mappings with nested sections. Every field is validated on
 construction and errors name the offending field, so a bad file fails before
-any computation starts. Value ranges come from the model classes: a section
-is checked by building its model objects (ChannelModel, FlowSpec) or by
-calling its model's own check (the policy parameters in policies.py), never
-by a copy here. This module checks only what the models cannot see: field
-types, the shape of each section, and cross-field context such as which
-sections a kind requires and which fields it reads (KIND_FIELDS).
+any computation starts. Each rule has one owner, and this module calls it,
+never a copy of it:
+  channel.py    erasure ranges and receiver counts (ChannelModel, check_receivers)
+  policies.py   policy kinds and parameters (POLICY_KINDS, check_sigma2, check_learning)
+  multiflow.py  each flow's ranges (FlowSpec); for multiflow, the horizon, unique
+                flow ids and arrivals against the horizon (check_flows); for
+                region, the axis, the two template flows and every grid cell's
+                flow pair (region_pairs)
+This module checks only what the models cannot see: field types, the shape
+of each section, and cross-field context such as which sections a kind
+requires, which fields it reads (KIND_FIELDS) and that a region grid is not
+empty, which the library accepts.
 parse_config(serialize_config(c)) == c holds for all valid configs, which
 keeps run manifests trustworthy.
 """
 
 import hashlib
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from types import NoneType, UnionType
 from typing import get_args, get_origin
 
@@ -22,7 +28,7 @@ import yaml
 
 from .channel import ChannelModel, check_receivers
 from .errors import ConfigError
-from .multiflow import INTRA_POLICIES, SWEEP_AXES, FlowSpec
+from .multiflow import INTRA_POLICIES, FlowSpec, check_flows, region_pairs
 from .policies import POLICY_KINDS, check_learning, check_sigma2
 
 # The fields each kind reads, besides kind, seed and out. Any other field
@@ -257,7 +263,6 @@ class ExperimentConfig:
         _require(self.frames >= 1, "frames must be >= 1")
         _require(self.rho > 0, "rho must be > 0")
         _require(self.intra in INTRA_POLICIES, f"intra must be one of {', '.join(INTRA_POLICIES)}")
-        _require(self.axis in SWEEP_AXES, f"axis must be one of {', '.join(SWEEP_AXES)}")
         _require(self.backlog is None or self.backlog >= 0, "backlog must be >= 0")
         # every section, whatever the kind, must build valid model objects
         specs = [f.to_spec() for f in self.flows]
@@ -278,6 +283,7 @@ class ExperimentConfig:
         if self.kind == "simulate":
             _require(self.horizon >= 1, "simulate requires horizon >= 1")
             _require(len(self.epsilon_grid) >= 1, "simulate requires a non-empty epsilon_grid")
+            _require(len(self.policies) >= 1, "simulate requires a non-empty policies list")
             for eps in self.epsilon_grid:
                 _checked("epsilon_grid", ChannelModel.homogeneous, eps, channel.n_receivers)
             for p in self.policies:
@@ -292,18 +298,10 @@ class ExperimentConfig:
         if self.kind == "learn":
             _require(self.horizon >= 1, "learn requires horizon >= 1")
             _require(self.policy.kind == "learning", "learn requires policy.kind: learning")
-        if self.kind in ("multiflow", "region"):
-            _require(self.horizon >= 1, f"{self.kind} requires horizon >= 1")
-            ids = [f.flow_id for f in self.flows]
-            _require(len(set(ids)) == len(ids), "flows must have unique flow_id values")
-            # the flows as they will run: a region sweep runs every grid value
-            # on its axis in place of the template's own
-            if self.kind == "region":
-                specs = [replace(s, **{self.axis: v}) for s in specs for v in self.grid]
-            for spec in specs:
-                spec.check_arrivals(self.horizon)
+        if self.kind == "multiflow":
+            check_flows(specs, self.horizon)
         if self.kind == "region":
-            _require(len(self.flows) == 2, "region requires exactly two template flows")
+            region_pairs(specs, self.grid, self.axis, self.horizon)
             _require(len(self.grid) >= 1, "region requires a non-empty grid")
         if self.kind == "threshold":
             _require(self.t_max >= 2, "threshold requires t_max >= 2")
@@ -343,9 +341,27 @@ def serialize_config(config: ExperimentConfig) -> str:
     return yaml.safe_dump(_clean(read), sort_keys=True)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a key repeated in one mapping, at any
+    depth, where safe_load would keep the last value and drop the others."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # merge keys (<<) and non-scalar keys are left to SafeLoader
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ConfigError(
+                        f"config key {key!r} is repeated (line {key_node.start_mark.line + 1})"
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if raw is None:

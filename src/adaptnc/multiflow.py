@@ -196,16 +196,32 @@ def deficit_slope(series) -> float:
     return float(np.polyfit(np.arange(len(tail)), tail, 1)[0])
 
 
-def _check_flows(flows: list, horizon: int):
+def check_flows(flows: list, horizon: int):
     """Reject a flow list no frame of ``horizon`` slots can serve, before any
     work: the horizon first, since the arrival checks divide by it, then
     duplicate flow ids, then each flow's arrival settings."""
     if horizon < 1:
         raise ConfigError("service curve needs a horizon of at least 1 slot")
     if len({f.flow_id for f in flows}) != len(flows):
-        raise ConfigError("flow ids must be unique")
+        raise ConfigError("flow ids must be unique: give each flow a unique flow_id")
     for f in flows:
         f.check_arrivals(horizon)
+
+
+def region_pairs(flows: list, grid, axis: str, horizon: int) -> list:
+    """The checked flow pair of every cell of a region sweep, row by row:
+    the two template ``flows`` with the x and y grid values on ``axis`` in
+    place of their own. The axis is checked first, then the template count,
+    then every pair with check_flows, before any cell runs."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"axis must be one of {', '.join(SWEEP_AXES)}")
+    if len(flows) != 2:
+        raise ConfigError("region requires exactly two template flows")
+    xs, ys = ([replace(f, **{axis: float(v)}) for v in grid] for f in flows)
+    pairs = [[x, y] for x in xs for y in ys]
+    for pair in pairs:
+        check_flows(pair, horizon)
+    return pairs
 
 
 @dataclass
@@ -238,7 +254,7 @@ def static_dual_iteration(
     """
     if iterations < 1:
         raise ConfigError("need at least one iteration")
-    _check_flows(flows, horizon)
+    check_flows(flows, horizon)
     n_flows = len(flows)
     curves = [service_curve(f, horizon) for f in flows]
     need = np.array([f.arrival_rate * f.delivery_ratio for f in flows])
@@ -322,7 +338,7 @@ def run_online(
     """
     if frames < 1:
         raise ConfigError("need at least one frame")
-    _check_flows(flows, horizon)
+    check_flows(flows, horizon)
     n_flows = len(flows)
     curves = [service_curve(f, horizon, intra) for f in flows]
     policies = [OptimalPolicy(_intra_plan(f, horizon, intra)) for f in flows]
@@ -403,23 +419,13 @@ def rate_region_sweep(
     The two template flows get the grid values on ``axis`` (first flow takes
     the x value, second the y value); each point runs the online loop twice —
     optimal intra-flow blocks and plain retransmission — and is stable when
-    no flow's deficit trend exceeds STABILITY_SLOPE per frame. Every point's
-    flows are checked before the first one runs. Each (point, mode) pair
+    no flow's deficit trend exceeds STABILITY_SLOPE per frame. region_pairs
+    checks every point's flows before the first one runs. Each (point, mode) pair
     draws from its own stream block, so results are identical whether cells
     run serially or across ``workers`` processes.
     """
-    if len(flows) != 2:
-        raise ConfigError("region sweep expects exactly two template flows")
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
     values = np.array(grid, dtype=float)
-    pairs = [
-        [replace(flows[0], **{axis: float(x)}), replace(flows[1], **{axis: float(y)})]
-        for x in values
-        for y in values
-    ]
-    for pair in pairs:
-        _check_flows(pair, horizon)
+    pairs = region_pairs(flows, values, axis, horizon)
     flags = map_cells(partial(_sweep_cell, frames, horizon, rho, rng), enumerate(pairs), workers)
     stable = np.array(flags, dtype=bool).reshape(len(values), len(values), 2)
     return RegionMap(axis=axis, grid=values, stable_nc=stable[..., 0], stable_retx=stable[..., 1])

@@ -11,7 +11,7 @@ of their own: ``fill_streams`` re-keys one Philox bit generator per thread to
 (seed, stream) with counter 0 and an empty buffer, for each stream of a block
 in turn, which yields exactly the draws a fresh
 ``RngSpec(seed, stream).generator()`` would, at a fraction of the cost of
-building one; ``fill_uniform`` is its one-stream case. The (seed, stream,
+building one; a single frame is a block of one stream. The (seed, stream,
 slot, receiver) address of every draw is unchanged. Long-lived streams that
 are consumed across many calls use ``RngSpec.generator()``.
 """
@@ -91,17 +91,6 @@ def fill_streams(seed: int, stream: int, frames) -> None:
         stream = (stream + 1) % 2**64
 
 
-def fill_uniform(seed: int, stream: int, out: np.ndarray) -> np.ndarray:
-    """Fill the float64 array ``out`` with the first ``out.size`` uniforms of
-    stream (seed, stream) and return it: ``fill_streams`` of one frame.
-
-    Bit for bit equal to ``RngSpec(seed, stream).generator().random(out.shape)``;
-    both arguments must fit in 64 bits.
-    """
-    fill_streams(seed, stream, (out,))
-    return out
-
-
 def frame_bits(rng: RngSpec, horizon: int, erasures) -> np.ndarray:
     """(horizon, n_receivers) reception indicators for one frame.
 
@@ -109,5 +98,6 @@ def frame_bits(rng: RngSpec, horizon: int, erasures) -> np.ndarray:
     s-th slot. Drawn in one call so the channel realization is independent of
     the policy driving the frame.
     """
-    u = fill_uniform(rng.seed, rng.stream, np.empty((horizon, len(erasures))))
+    u = np.empty((horizon, len(erasures)))
+    fill_streams(rng.seed, rng.stream, (u,))
     return u < (1.0 - np.asarray(erasures))

@@ -121,6 +121,10 @@ class TestConfigValidation:
                 "not a known policy kind",
             ),
             (
+                dict(kind="simulate", channel={"receivers": 5}, epsilon_grid=[0.2], policies=[]),
+                "simulate requires a non-empty policies list",
+            ),
+            (
                 dict(kind="simulate", channel={"receivers": 5, "erasure": 0.2},
                      epsilon_grid=[0.2]),
                 "rates from epsilon_grid",
@@ -398,8 +402,63 @@ class TestConfigValidation:
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _flow(i, **kw):
+        return {"flow_id": i, "channel": {"receivers": 2, "erasure": 0.3},
+                "arrival_rate": 1.0, **kw}
+
+    RULE_CASES = {
+        "multiflow horizon 0": dict(kind="multiflow", horizon=0, flows=[_flow(0)]),
+        "region horizon 0": dict(kind="region", horizon=0, grid=[0.5], flows=[_flow(0), _flow(1)]),
+        "duplicate flow ids": dict(kind="multiflow", flows=[_flow(7), _flow(7)]),
+        "duplicate template ids": dict(kind="region", grid=[0.5], flows=[_flow(7), _flow(7)]),
+        "rate above its batches": dict(kind="multiflow", horizon=10,
+                                       flows=[_flow(0, arrival_rate=12.0)]),
+        "batches on a poisson flow": dict(
+            kind="multiflow", flows=[_flow(0, arrival_process="poisson", arrival_batches=3)]
+        ),
+        "bad axis": dict(kind="region", axis="weight", grid=[0.5], flows=[_flow(0), _flow(1)]),
+        "one template": dict(kind="region", grid=[0.5], flows=[_flow(0)]),
+        "grid value breaks a flow": dict(kind="region", horizon=6, axis="arrival_rate",
+                                         grid=[1.0, 7.0], flows=[_flow(0), _flow(1)]),
+    }
+
+    @pytest.mark.parametrize("fields", RULE_CASES.values(), ids=RULE_CASES.keys())
+    def test_multiflow_rules_match_the_library(self, fields):
+        # one owner per rule: the config and the library give the same error
+        run = {name: f.default for name, f in ExperimentConfig.__dataclass_fields__.items()}
+        run.update(fields)
+        specs = [FlowConfig(**f).to_spec() for f in run["flows"]]
+        with pytest.raises(ConfigError) as at_load:
+            ExperimentConfig(**fields)
+        with pytest.raises(ConfigError) as in_library:
+            if run["kind"] == "multiflow":
+                run_online(specs, run["frames"], run["horizon"], run["rho"], RngSpec(0))
+            else:
+                rate_region_sweep(specs, run["grid"], run["horizon"], run["rho"], run["frames"],
+                                  RngSpec(0), axis=run["axis"])
+        assert str(at_load.value) == str(in_library.value)
+
 
 class TestParseAndSerialize:
+    @pytest.mark.parametrize("text, key, line", [
+        ("kind: solve\nhorizon: 5\nhorizon: 30\nchannel: {receivers: 2, erasure: 0.2}\n",
+         "horizon", 3),
+        ("kind: solve\nchannel: {erasure: 0.2, erasure: 0.9, receivers: 2}\n", "erasure", 2),
+        ("kind: multiflow\nflows:\n  - flow_id: 0\n    arrival_rate: 1.0\n"
+         "    channel: {receivers: 2, erasure: 0.2}\n    arrival_rate: 2.0\n", "arrival_rate", 6),
+    ], ids=["top level", "in a section", "in a list entry"])
+    def test_repeated_keys_are_rejected(self, tmp_path, capsys, text, key, line):
+        # plain YAML loading keeps the last value and silently drops the first
+        with pytest.raises(ConfigError, match=f"config key '{key}' is repeated \\(line {line}\\)"):
+            parse_config(text)
+        path = tmp_path / "repeated.yaml"
+        path.write_text(text + f"out: {tmp_path / 'run'}\n", encoding="utf-8")
+        kind = yaml.safe_load(text)["kind"]
+        assert cli.main([kind, "--config", str(path)]) == 2
+        assert f"config key '{key}' is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_round_trip_of_shipped_configs(self):
         import pathlib
 
@@ -1030,4 +1089,21 @@ class TestCliFailureWritesNothing:
         path, _ = write_config(tmp_path, out=str(tmp_path / "run"), **fields)
         assert cli.main([command, "--config", str(path)]) == 3
         assert f"invariant violation: {call} failed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, call, fields", RUNS[1:], ids=[r[0] for r in RUNS[1:]])
+    def test_floating_point_fault_exits_3_without_an_output_directory(
+        self, tmp_path, monkeypatch, capsys, command, call, fields
+    ):
+        # every command runs under np.errstate(..="raise"), not only the solver
+        real = getattr(cli, call)
+
+        def dividing_by_zero(*args, **kwargs):
+            np.log(np.zeros(1))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, call, dividing_by_zero)
+        path, _ = write_config(tmp_path, out=str(tmp_path / "run"), **fields)
+        assert cli.main([command, "--config", str(path)]) == 3
+        assert "invariant violation: divide by zero" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()

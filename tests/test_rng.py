@@ -1,4 +1,4 @@
-"""Re-keyed stream draws: fill_streams and its one-stream case fill_uniform
+"""Re-keyed stream draws: fill_streams, on one frame or a block of them,
 must reproduce a freshly built generator bit for bit, leave live generators
 alone, keep per-thread state apart, and let the batch engine run without
 building a generator per replication."""
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adaptnc import ChannelModel, OptimalPolicy, RngSpec, monte_carlo_throughput, solve_monotone
-from adaptnc.rng import _REKEYABLE, fill_streams, fill_uniform
+from adaptnc.rng import _REKEYABLE, fill_streams
 
 U64_MAX = 2**64 - 1
 
@@ -23,7 +23,7 @@ U64_MAX = 2**64 - 1
 def test_matches_a_fresh_generator_bit_for_bit(seed, stream, shape):
     expected = RngSpec(seed, stream).generator().random(shape)
     out = np.empty(shape)
-    assert fill_uniform(seed, stream, out) is out
+    fill_streams(seed, stream, (out,))
     assert np.array_equal(out, expected)
 
 
@@ -31,8 +31,8 @@ def test_consecutive_draws_do_not_carry_state():
     # a short draw leaves words in Philox's buffer; the next stream must not see them
     out = np.empty((3, 1))
     for stream in range(5):
-        fill_uniform(1, stream, np.empty((1, 1)))
-        fill_uniform(2, stream, out)
+        fill_streams(1, stream, (np.empty((1, 1)),))
+        fill_streams(2, stream, (out,))
         assert np.array_equal(out, RngSpec(2, stream).generator().random((3, 1)))
 
 
@@ -74,7 +74,7 @@ def test_state_after_an_odd_draw_matches_a_fresh_generator(seed, stream):
     for words in (3, 1, 5):
         fresh = RngSpec(seed, stream).generator()
         fresh.random((words, 1))
-        fill_uniform(seed, stream, np.empty((words, 1)))
+        fill_streams(seed, stream, (np.empty((words, 1)),))
         assert _plain(_REKEYABLE.bit_generator.state) == _plain(fresh.bit_generator.state)
         assert _plain(_REKEYABLE.state) == {
             **template, "state": {**template["state"], "key": [seed, stream]}
@@ -87,11 +87,11 @@ def test_rekeying_leaves_a_live_generator_alone():
     reference = RngSpec(5, 1).generator()
     expected = [reference.random(4), reference.poisson(3.0, 2), reference.random(4)]
     live = RngSpec(5, 1).generator()
-    fill_uniform(5, 3, np.empty((10, 4)))
+    fill_streams(5, 3, (np.empty((10, 4)),))
     got = [live.random(4)]
-    fill_uniform(5, 4, np.empty((10, 4)))
+    fill_streams(5, 4, (np.empty((10, 4)),))
     got.append(live.poisson(3.0, 2))
-    fill_uniform(5, 5, np.empty((10, 4)))
+    fill_streams(5, 5, (np.empty((10, 4)),))
     got.append(live.random(4))
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
@@ -104,7 +104,7 @@ def test_threads_draw_their_own_streams():
         try:
             out, frames = np.empty((6, 3)), list(np.empty((4, 6, 3)))
             for stream in range(0, 200, 5):
-                fill_uniform(tid, stream, out)
+                fill_streams(tid, stream, (out,))
                 fill_streams(tid, stream + 1, frames)
                 if stream % 20 == 0:
                     results[(tid, stream)] = out.copy()
