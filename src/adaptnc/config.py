@@ -20,6 +20,7 @@ keeps run manifests trustworthy.
 
 import hashlib
 import math
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from types import NoneType, UnionType
 from typing import get_args, get_origin
@@ -74,27 +75,6 @@ def _is_number(value) -> bool:
         return False
 
 
-def _yaml_float_hint(value) -> str:
-    """The cause, and the fix, when a float field got a string that Python
-    reads as a finite number in exponent form; "" for any other value.
-    YAML 1.1 reads an exponent as a float only with a decimal point and a
-    signed exponent, so ``1e6`` loads as the string '1e6'."""
-    if not isinstance(value, str):
-        return ""
-    mantissa, sep, exponent = value.strip().lower().partition("e")
-    try:
-        if not (sep and math.isfinite(float(value))):
-            return ""
-    except ValueError:
-        return ""
-    if "." not in mantissa:
-        mantissa += ".0"
-    if exponent[0] not in "+-":
-        exponent = "+" + exponent
-    return (f" (YAML 1.1 reads an exponent without a decimal point or sign as a string:"
-            f" write {mantissa}e{exponent})")
-
-
 _TYPE_CHECKS = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a finite number", _is_number),
@@ -125,9 +105,7 @@ def _typed(name: str, value, hint):
         items = tuple(_typed(f"{name} entry", v, item) for v in value)
         return tuple(float(v) for v in items) if item is float else items
     noun, ok = _TYPE_CHECKS[hint]
-    if not ok(value):
-        cause = _yaml_float_hint(value) if hint is float else ""
-        raise ConfigError(f"{name} must be {noun}, got {value!r}{cause}")
+    _require(ok(value), f"{name} must be {noun}, got {value!r}")
     return value
 
 
@@ -342,8 +320,9 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
-    """yaml.SafeLoader that rejects a key repeated in one mapping, at any
-    depth, where safe_load would keep the last value and drop the others."""
+    """yaml.SafeLoader that reads an exponent as YAML 1.2 and JSON do, and
+    rejects a key repeated in one mapping, at any depth, where safe_load
+    would keep the last value and drop the others."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -357,6 +336,15 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                     )
                 seen.add(key)
         return super().construct_mapping(node, deep)
+
+
+# YAML 1.1 reads an exponent as a float only with a decimal point and a
+# signed exponent; YAML 1.2 and JSON also read 1e6 and 1e-05 as floats.
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -212,15 +212,19 @@ def region_pairs(flows: list, grid, axis: str, horizon: int) -> list:
     """The checked flow pair of every cell of a region sweep, row by row:
     the two template ``flows`` with the x and y grid values on ``axis`` in
     place of their own. The axis is checked first, then the template count,
-    then every pair with check_flows, before any cell runs."""
+    then every flow before any cell runs: the first pair with check_flows,
+    then each other y flow, then each other x flow, the order in which a
+    row-by-row check of every pair first meets them."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {', '.join(SWEEP_AXES)}")
     if len(flows) != 2:
         raise ConfigError("region requires exactly two template flows")
     xs, ys = ([replace(f, **{axis: float(v)}) for v in grid] for f in flows)
     pairs = [[x, y] for x in xs for y in ys]
-    for pair in pairs:
-        check_flows(pair, horizon)
+    if pairs:
+        check_flows(pairs[0], horizon)
+        for f in ys[1:] + xs[1:]:
+            f.check_arrivals(horizon)
     return pairs
 
 

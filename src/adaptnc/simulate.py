@@ -20,6 +20,7 @@ the frame's shape and not on the number of replications.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -317,14 +318,19 @@ def learning_run(
 
 def map_cells(cell, cells, workers: int) -> list:
     """``[cell(*args) for args in cells]``, in order: in this process for one
-    worker, over a pool of ``workers`` processes for more (``cell`` and its
-    arguments must then pickle). Sweeps key each cell's streams by its
-    position, so the results never depend on the worker count."""
+    worker or one cell, otherwise over a pool of never more processes than
+    cells (``cell`` and its arguments must then pickle), each started with
+    this process's numpy floating-point error settings. Sweeps key each
+    cell's streams by its position, so the results never depend on the worker
+    count."""
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    if workers == 1:
+    cells = list(cells)
+    workers = min(workers, len(cells))
+    if workers <= 1:
         return [cell(*args) for args in cells]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    errors = partial(np.seterr, **np.geterr())
+    with ProcessPoolExecutor(max_workers=workers, initializer=errors) as pool:
         return list(pool.map(cell, *zip(*cells)))

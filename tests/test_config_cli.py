@@ -2,6 +2,7 @@
 exit codes, CSV schemas, manifest contents, determinism across seeds and
 worker counts."""
 
+import inspect
 import json
 import math
 import re
@@ -19,21 +20,26 @@ from adaptnc import (
     ConfigError,
     ExperimentConfig,
     FlowConfig,
+    FlowSpec,
     InvariantViolation,
+    LearningPolicy,
     OptimalPolicy,
     PolicyConfig,
     RngSpec,
     config_digest,
+    learning_run,
     load_config,
+    make_policy,
     parse_config,
     rate_region_sweep,
     run_online,
     serialize_config,
+    service_curve,
     simulate_frame,
     solve_monotone,
 )
 from adaptnc import cli
-from adaptnc.config import KIND_FIELDS, _clean
+from adaptnc.config import KIND_FIELDS, _clean, _UniqueKeyLoader
 
 
 def read_csv_lines(path):
@@ -82,6 +88,24 @@ class TestConfigDefaults:
         assert pc.kind == "optimal"
         assert pc.delta == 0.05
         assert pc.eps_init == 0.5
+
+    @pytest.mark.parametrize("config, library, names", [
+        (PolicyConfig, LearningPolicy, ("delta", "eps_init")),
+        (PolicyConfig, make_policy, ("delta", "eps_init")),
+        (FlowConfig, FlowSpec, ("weight", "arrival_process", "arrival_batches")),
+        (ExperimentConfig, run_online, ("intra",)),
+        (ExperimentConfig, service_curve, ("intra",)),
+        (ExperimentConfig, rate_region_sweep, ("axis",)),
+        (ExperimentConfig, learning_run, ("backlog",)),
+    ])
+    def test_config_defaults_are_the_library_defaults(self, config, library, names):
+        # a config that leaves a field out must run as the library call that
+        # leaves the argument out, or the CLI and library drift apart
+        for name in names:
+            ours = inspect.signature(config).parameters[name].default
+            theirs = inspect.signature(library).parameters[name].default
+            assert ours is not inspect.Parameter.empty, name
+            assert ours == theirs, (name, ours, theirs)
 
 
 class TestChannelConfig:
@@ -322,23 +346,53 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=needle):
                 parse_config(text)
 
-    @pytest.mark.parametrize("written, fix, number", [
-        ("1e6", "1.0e+6", 1e6),
-        ("2.5E3", "2.5e+3", 2500.0),
-        ("-3e2", "-3.0e+2", -300.0),
+    @pytest.mark.parametrize("written, number", [
+        ("1e6", 1e6),
+        ("2.5E3", 2500.0),
+        ("-3e2", -300.0),
+        (".5e-3", 0.0005),
+        ("1.0e+6", 1e6),
+        ("1e-05", 1e-05),
     ])
-    def test_yaml_exponent_strings_name_the_cause(self, written, fix, number):
-        # YAML 1.1 loads these as strings; the message says how to write a float
-        entry = f"{{flow_id: 0, arrival_rate: {written}, channel: {{receivers: 2, erasure: 0.2}}}}"
-        with pytest.raises(ConfigError, match=re.escape(
-            f"flows.arrival_rate must be a finite number, got '{written}'"
-        )) as err:
-            parse_config(f"kind: multiflow\nflows: [{entry}]\n")
-        assert f"write {fix})" in str(err.value)
-        assert yaml.safe_load(f"x: {fix}") == {"x": number}
-        # a string that is no number keeps the plain message
-        with pytest.raises(ConfigError, match=r"got 'fast'$"):
-            parse_config(f"kind: multiflow\nflows: [{entry.replace(written, 'fast')}]\n")
+    def test_exponents_load_as_floats(self, written, number):
+        # YAML 1.2 and JSON read every exponent form as a float, YAML 1.1
+        # only one with a decimal point and a signed exponent
+        loaded = yaml.load(f"x: {written}", Loader=_UniqueKeyLoader)["x"]
+        assert type(loaded) is float and loaded == number
+        text = f"kind: multiflow\nrho: {written}\n"
+        if number > 0:
+            assert parse_config(text).rho == number
+        else:
+            with pytest.raises(ConfigError, match="rho must be > 0"):
+                parse_config(text)
+
+    def test_exponent_resolver_leaves_strings_and_safe_load_alone(self):
+        for text in ("'1e6'", "1e6x", "1e", "e6", "1_0e3"):
+            assert type(yaml.load(f"x: {text}", Loader=_UniqueKeyLoader)["x"]) is str, text
+        assert yaml.safe_load("x: 1e6") == {"x": "1e6"}
+        with pytest.raises(ConfigError, match=re.escape("out must be a string, got 1000000.0")):
+            parse_config("kind: threshold\nout: 1e6\n")
+
+    @pytest.mark.parametrize("text, needle", [
+        ("kind: solve\nchannel: {receivers: 2, erasure: 0.2}\nhorizon: 1e6\n",
+         "horizon must be an integer, got 1000000.0"),
+        ("kind: simulate\nchannel: {receivers: 2}\nepsilon_grid: [0.2]\nreplications: 1e6\n",
+         "replications must be an integer, got 1000000.0"),
+        ("kind: multiflow\nrho: '1e-3'\n", "rho must be a finite number, got '1e-3'"),
+        ("kind: multiflow\nrho: fast\n", "rho must be a finite number, got 'fast'"),
+    ], ids=["int", "int-with-default", "quoted", "word"])
+    def test_exponents_in_int_fields_and_quoted_numbers_get_the_plain_message(
+        self, text, needle
+    ):
+        with pytest.raises(ConfigError, match=re.escape(needle) + "$"):
+            parse_config(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_json_floats_load_bit_for_bit(self, rho):
+        # JSON is YAML 1.2, and writes 1e-05 and 1e+16 without a decimal point
+        cfg = parse_config(json.dumps({"kind": "multiflow", "rho": rho}))
+        assert type(cfg.rho) is float and cfg.rho.hex() == rho.hex()
 
     def test_ints_are_numbers_and_kept_as_given(self):
         text = ("kind: multiflow\nrho: 1\nflows:\n- {flow_id: 0, arrival_rate: 2, weight: 3, "

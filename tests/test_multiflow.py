@@ -3,6 +3,7 @@ against an exact enumeration oracle, deficit bookkeeping, the deterministic
 multiplier iteration, the online loop, and the stability-region sweep."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -606,6 +607,45 @@ class TestRateRegionSweep:
                 axis="arrival_rate",
             )
         assert calls == []
+
+    def test_region_pairs_checks_each_grid_value_once(self, monkeypatch):
+        real = FlowSpec.check_arrivals
+        calls = []
+
+        def counting(self, horizon):
+            calls.append(self)
+            return real(self, horizon)
+
+        monkeypatch.setattr(FlowSpec, "check_arrivals", counting)
+        grid = np.linspace(0.5, 9.5, 30)
+        pairs = multiflow.region_pairs([flow(0), flow(1)], grid, "arrival_rate", 10)
+        assert [(x.arrival_rate, y.arrival_rate) for x, y in pairs] == [
+            (x, y) for x in grid for y in grid
+        ]
+        assert len(calls) <= 2 * len(grid)
+        assert multiflow.region_pairs([flow(0), flow(1)], [], "arrival_rate", 0) == []
+
+    def test_region_pairs_reject_as_a_row_by_row_check_of_every_pair(self):
+        # the first flow takes up to 10 arrivals a frame, the second up to 25;
+        # every grid of up to three values from these must fail on the same
+        # flow and value as checking each pair in turn would
+        templates = [flow(0), flow(1, arrival_batches=25)]
+        for n in range(4):
+            for grid in itertools.product([1.0, 20.0, 30.0, 40.0], repeat=n):
+                xs, ys = ([replace(f, arrival_rate=v) for v in grid] for f in templates)
+                expected = None
+                try:
+                    for x in xs:
+                        for y in ys:
+                            multiflow.check_flows([x, y], 10)
+                except ConfigError as exc:
+                    expected = str(exc)
+                try:
+                    multiflow.region_pairs(templates, grid, "arrival_rate", 10)
+                    got = None
+                except ConfigError as exc:
+                    got = str(exc)
+                assert got == expected, grid
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -2,10 +2,17 @@
 deterministic channels, bit-level agreement between the per-slot engine and
 the batched engine, and Monte Carlo consistency with the planner's value."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import adaptnc
 
 from adaptnc import (
     ChannelModel,
@@ -21,6 +28,7 @@ from adaptnc import (
     simulate_frame,
     solve_monotone,
 )
+from adaptnc.simulate import map_cells
 
 
 def fixed_table(k_star):
@@ -478,3 +486,55 @@ class TestVarianceTradeoff:
         assert [r["sigma2"] for r in rows] == [0.5, 40.0]
         assert rows[0]["k_cap"] == 0  # hopeless budget falls back to single packets
         assert rows[0]["mean"] > 0.0
+
+
+class TestMapCells:
+    def test_never_more_processes_than_cells(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process,
+        # so no worker process starts whatever worker count is asked for
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cells = [(i, 10) for i in range(3)]
+        assert map_cells(pow, cells, 64) == [0, 1, 1024]
+        assert sizes == [3]
+        assert map_cells(pow, iter(cells), 2) == [0, 1, 1024]
+        assert sizes == [3, 2]
+        # one cell, or none, runs in this process
+        assert map_cells(pow, [(2, 3)], 64) == [8]
+        assert map_cells(pow, [], 64) == []
+        assert sizes == [3, 2]
+
+    def test_workers_raise_on_float_faults_under_spawn(self):
+        # a spawned worker starts with numpy's default error state; the pool
+        # must hand it the caller's, as a forked worker inherits it
+        script = (
+            "import multiprocessing\n"
+            "import numpy as np\n"
+            "from adaptnc.simulate import map_cells\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "with np.errstate(divide='raise'):\n"
+            "    try:\n"
+            "        map_cells(np.log, [(np.zeros(1),)] * 2, 2)\n"
+            "    except FloatingPointError:\n"
+            "        print('FloatingPointError')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(adaptnc.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "FloatingPointError\n", run.stderr
