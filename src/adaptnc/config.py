@@ -9,7 +9,8 @@ never a copy of it:
   multiflow.py  each flow's ranges (FlowSpec); for multiflow, the horizon, unique
                 flow ids and arrivals against the horizon (check_flows); for
                 region, the axis, the two template flows and every grid cell's
-                flow pair (region_pairs)
+                flow pair (region_pairs); for both, a rho at which the
+                allocator's weights overflow (check_rho)
 This module checks only what the models cannot see: field types, the shape
 of each section, and cross-field context such as which sections a kind
 requires, which fields it reads (KIND_FIELDS) and that a region grid is not
@@ -29,7 +30,7 @@ import yaml
 
 from .channel import ChannelModel, check_receivers
 from .errors import ConfigError
-from .multiflow import INTRA_POLICIES, FlowSpec, check_flows, region_pairs
+from .multiflow import INTRA_POLICIES, FlowSpec, check_flows, check_rho, region_pairs
 from .policies import POLICY_KINDS, check_learning, check_sigma2
 
 # The fields each kind reads, besides kind, seed and out. Any other field
@@ -281,6 +282,8 @@ class ExperimentConfig:
         if self.kind == "region":
             region_pairs(specs, self.grid, self.axis, self.horizon)
             _require(len(self.grid) >= 1, "region requires a non-empty grid")
+        if self.kind in ("multiflow", "region"):
+            check_rho(specs, self.rho, self.horizon)
         if self.kind == "threshold":
             _require(self.t_max >= 2, "threshold requires t_max >= 2")
             _require(self.receivers_max >= 1, "threshold requires receivers_max >= 1")
@@ -320,9 +323,22 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
-    """yaml.SafeLoader that reads an exponent as YAML 1.2 and JSON do, and
-    rejects a key repeated in one mapping, at any depth, where safe_load
-    would keep the last value and drop the others."""
+    """yaml.SafeLoader that reads integers and exponents as YAML 1.2 and
+    JSON do, and rejects a key repeated in one mapping, at any depth, where
+    safe_load would keep the last value and drop the others."""
+
+    def construct_yaml_int(self, node):
+        """A YAML 1.2 core-schema integer: decimal (leading zeros allowed),
+        or 0o octal, or 0x hexadecimal; an ``!!int`` tag on anything else is
+        a YAML error."""
+        text = self.construct_scalar(node)
+        base = {"0o": 8, "0x": 16}.get(text[:2])
+        try:
+            return int(text[2:], base) if base else int(text, 10)
+        except ValueError:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"{text!r} is not an integer", node.start_mark
+            ) from None
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -345,6 +361,18 @@ _UniqueKeyLoader.add_implicit_resolver(
     re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
     list("-+.0123456789"),
 )
+# YAML 1.1 reads 010 as octal 8, 1:30 as base-60 90, 0b101 as 5 and 1_000 as
+# 1000; YAML 1.2's core schema reads 010 as 10, the others as strings, and
+# adds 0o17. Its resolver replaces SafeLoader's for the same first characters.
+_INT_TAG = "tag:yaml.org,2002:int"
+for _first in "-+0123456789":
+    _UniqueKeyLoader.yaml_implicit_resolvers[_first] = [
+        entry for entry in _UniqueKeyLoader.yaml_implicit_resolvers[_first] if entry[0] != _INT_TAG
+    ]
+_UniqueKeyLoader.add_implicit_resolver(
+    _INT_TAG, re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$"), list("-+0123456789")
+)
+_UniqueKeyLoader.add_constructor(_INT_TAG, _UniqueKeyLoader.construct_yaml_int)
 
 
 def parse_config(text: str) -> ExperimentConfig:

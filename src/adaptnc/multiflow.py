@@ -13,7 +13,7 @@ is lost, never queued.
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -122,6 +122,32 @@ def service_curve(flow: FlowSpec, horizon: int, intra: str = "optimal") -> Servi
     return ServiceCurve(flow_id=flow.flow_id, values=_intra_plan(flow, horizon, intra).value)
 
 
+def check_rho(flows: list, rho: float, horizon: int):
+    """The deficit step size: > 0, and large enough that the largest
+    schedule value the allocator can form, max weight / rho summed over
+    ``horizon`` slots and every flow, is finite; past that, weight / rho
+    overflows and inf * 0 turns the gains into NaN."""
+    if not rho > 0:
+        raise ConfigError("step size rho must be > 0")
+    if flows and not math.isfinite(max(f.weight for f in flows) / rho * horizon * len(flows)):
+        raise ConfigError(
+            f"step size rho {rho} is too small: max weight / rho x horizon x flows "
+            "overflows"
+        )
+
+
+@lru_cache(maxsize=1)
+def _lag_grid(horizon: int):
+    """Read-only (slots, lag) of the allocator's max-plus step: slots[s] = s
+    and lag[u, s] = u - s for s <= u, else horizon + 1, for u, s in
+    0..horizon. A run allocates at one horizon, so only the last is kept."""
+    slots = np.arange(horizon + 1)
+    lag = slots[:, None] - slots[None, :]
+    lag[lag < 0] = horizon + 1
+    slots.flags.writeable = lag.flags.writeable = False
+    return slots, lag
+
+
 def allocate_slots(
     flows: list,
     deficits,
@@ -134,14 +160,16 @@ def allocate_slots(
     entry per flow.
 
     Exact resource-allocation dynamic program over flows (state = slots still
-    available, O(flows * horizon^2)), run backwards over the flows as one
-    vectorised max-plus step each: candidate[u, s] = gain_f[s] + best[u - s]
-    for s <= u. Among maximizing schedules the lexicographically smallest is
-    returned: ties prefer fewer slots for the lowest flow index first, since
-    argmax keeps the first of equal candidates.
+    available), run backwards over the flows as one vectorised max-plus step
+    each: candidate[u, s] = gain_f[s] + best[u - s] for s <= u. The last
+    flow's step is a running maximum of its gains, O(horizon); each middle
+    flow's is the full O(horizon^2) step; the first flow's needs only
+    u = horizon, O(horizon). Among maximizing schedules the
+    lexicographically smallest is returned: ties prefer fewer slots for the
+    lowest flow index first, since argmax keeps the first of equal
+    candidates and the running maximum moves only on a strictly larger gain.
     """
-    if not rho > 0:
-        raise ConfigError("step size rho must be > 0")
+    check_rho(flows, rho, horizon)
     if horizon < 0:
         raise ConfigError("horizon must be >= 0")
     nu = np.asarray(deficits, dtype=float)
@@ -160,16 +188,20 @@ def allocate_slots(
         for i in range(n_flows)
     ]
 
-    # best[u] (u <= horizon): optimal value using flows i..end with u slots;
-    # lag[u, s] = u - s, or horizon + 1 for s > u, where best holds -inf.
-    # choice[i][u]: the smallest slot count for flow i attaining best[u].
-    slots = np.arange(horizon + 1)
-    lag = slots[:, None] - slots[None, :]
-    lag[lag < 0] = horizon + 1
-    best = np.zeros(horizon + 2)
+    # best[u] (u <= horizon): optimal value using flows i..end with u slots,
+    # and best[horizon + 1] = -inf, which lag reads for s > u.
+    # choice[i][u]: the smallest slot count for flow i attaining best[u]; for
+    # the last flow, the last slot count up to u whose gain beats all before.
+    slots, lag = _lag_grid(horizon)
+    last = gains[-1]
+    best = np.empty(horizon + 2)
+    np.maximum.accumulate(last, out=best[:-1])
     best[-1] = -np.inf
-    choice = np.zeros((n_flows, horizon + 1), dtype=int)
-    for i in range(n_flows - 1, -1, -1):
+    rises = np.ones(horizon + 1, dtype=bool)
+    np.greater(last[1:], best[:-2], out=rises[1:])
+    choice = [None] * n_flows
+    choice[-1] = np.maximum.accumulate(np.where(rises, slots, 0))
+    for i in range(n_flows - 2, 0, -1):
         candidates = gains[i] + best[lag]
         choice[i] = candidates.argmax(axis=1)
         best[:-1] = candidates[slots, choice[i]]
@@ -177,7 +209,10 @@ def allocate_slots(
     schedule = np.zeros(n_flows, dtype=int)
     u = horizon
     for i in range(n_flows):
-        schedule[i] = choice[i, u]
+        if choice[i] is None:  # the first of several flows: best[horizon - s]
+            schedule[i] = (gains[0] + best[horizon::-1]).argmax()
+        else:
+            schedule[i] = choice[i][u]
         u -= schedule[i]
     return schedule
 
@@ -259,6 +294,7 @@ def static_dual_iteration(
     if iterations < 1:
         raise ConfigError("need at least one iteration")
     check_flows(flows, horizon)
+    check_rho(flows, rho, horizon)
     n_flows = len(flows)
     curves = [service_curve(f, horizon) for f in flows]
     need = np.array([f.arrival_rate * f.delivery_ratio for f in flows])
@@ -343,6 +379,7 @@ def run_online(
     if frames < 1:
         raise ConfigError("need at least one frame")
     check_flows(flows, horizon)
+    check_rho(flows, rho, horizon)
     n_flows = len(flows)
     curves = [service_curve(f, horizon, intra) for f in flows]
     policies = [OptimalPolicy(_intra_plan(f, horizon, intra)) for f in flows]

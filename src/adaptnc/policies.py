@@ -7,6 +7,10 @@ backlog is empty or the frame is over). Every rule but the learning one is a
 plan, one block size per slots-left state, and keeps no run state. The
 learning policy instead consumes per-slot feedback counts to maintain a
 running erasure estimate, carried across frames until it is reset.
+
+``block_rule`` is ``decide`` for many replications at once, as the batch
+engine calls it: a plan reads its plan, and the learner reads estimate paths
+computed up front, since its estimate never depends on the blocks committed.
 """
 
 import numpy as np
@@ -21,6 +25,7 @@ POLICY_KINDS = ("optimal", "greedy", "conservative", "retransmission", "variance
 # Erasure estimates are snapped to this grid before solving, so one learning
 # run reuses a handful of plan tables instead of re-solving every slot.
 ESTIMATE_GRID = 1e-3
+_GRID_POINTS = round(1 / ESTIMATE_GRID) + 1  # estimates in [0, 1]
 
 
 def check_sigma2(sigma2: float | None):
@@ -42,9 +47,9 @@ class BlockPolicy:
 
     ``plan[t]`` is the block committed with t slots left, clipped to t when
     the policy is built, so the per-frame engine (``decide``) and the batch
-    engine (``decision_vector``) read one vector; ``horizon`` is the longest
+    engine (``block_rule``) read one vector; ``horizon`` is the longest
     frame it plans for. The learning policy, which has no plan, is the only
-    one to override both.
+    one to override them.
     """
 
     name = "base"
@@ -57,6 +62,9 @@ class BlockPolicy:
 
     def observe_slot(self, received: int, n_receivers: int):
         """Per-slot feedback hook; only the learning policy uses it."""
+
+    def reset(self):
+        """Forget the run; a plan keeps none."""
 
     def check_horizon(self, horizon: int):
         """Both engines fail alike on a frame longer than the plan, whatever
@@ -76,6 +84,18 @@ class BlockPolicy:
         """The plan for states 0..horizon, a copy the caller may keep."""
         self.check_horizon(horizon)
         return self.plan[: horizon + 1].copy()
+
+    def block_rule(self, horizon: int, counts: np.ndarray):
+        """``decide`` for a batch of frames of ``horizon`` slots at once.
+
+        ``counts[r, i, s]`` is receiver i's receptions in the first s slots
+        of replication r. The rule maps (replications, their slots left,
+        their backlogs), three equal-length arrays, to their next block
+        sizes; the engine calls it only where slots and packets remain. A
+        plan reads min(plan[t], backlog) and ignores the counts.
+        """
+        plan = self.plan
+        return lambda active, t, m: np.minimum(plan[t], m)
 
 
 class TablePolicy(BlockPolicy):
@@ -211,12 +231,15 @@ class LearningPolicy(BlockPolicy):
         # one row per committed block: (t, k, estimate_was_moving)
         self.decision_log: list[tuple[int, int, bool]] = []
 
-    def observe_slot(self, received: int, n_receivers: int):
+    def _check_receivers(self, n_receivers: int):
         if n_receivers != self.n_receivers:
             raise ValueError(
                 f"learning policy plans for {self.n_receivers} receivers, "
                 f"the channel has {n_receivers}"
             )
+
+    def observe_slot(self, received: int, n_receivers: int):
+        self._check_receivers(n_receivers)
         if not 0 <= received <= n_receivers:
             raise ValueError(f"received count {received} outside 0..{n_receivers}")
         loss = 1.0 - received / n_receivers
@@ -229,13 +252,19 @@ class LearningPolicy(BlockPolicy):
         """No plan: each decision depends on the slots observed so far."""
         return None
 
-    def planned_table(self) -> PolicyTable:
-        eps = round(self.eps_hat / ESTIMATE_GRID) * ESTIMATE_GRID
-        eps = min(max(eps, 0.0), 1.0)
+    def _plan(self, point: int) -> PolicyTable:
+        """The plan solved for the estimate at grid point ``point``, that is
+        point * ESTIMATE_GRID clipped to [0, 1], solved once per policy."""
+        eps = min(max(point * ESTIMATE_GRID, 0.0), 1.0)
         if eps not in self._tables:
             channel = ChannelModel.homogeneous(eps, self.n_receivers)
             self._tables[eps] = solve_monotone(self.horizon, channel)
         return self._tables[eps]
+
+    def planned_table(self) -> PolicyTable:
+        """The plan for the current estimate, snapped to the nearest grid
+        point (ties to even, as np.rint snaps in ``block_rule``)."""
+        return self._plan(round(self.eps_hat / ESTIMATE_GRID))
 
     def decide(self, t: int, backlog: int) -> int:
         self.check_horizon(t)
@@ -256,6 +285,60 @@ class LearningPolicy(BlockPolicy):
         self.last_block = k
         self.decision_log.append((t, k, moving))
         return k
+
+    def _estimate_paths(self, counts: np.ndarray):
+        """Where the estimate of a fresh run stands after s = 0..T slots of
+        each replication of ``counts`` (shaped as in ``block_rule``): its
+        grid point and whether the latest slot moved it by more than delta,
+        two (T + 1, replications) arrays. One slot at a time for every
+        replication at once, with the float operations of ``observe_slot``,
+        so every estimate is bit for bit the one the per-frame run holds."""
+        c, n, width = counts.shape
+        point = np.empty((width, c), dtype=np.int16)
+        moving = np.zeros((width, c), dtype=bool)
+        point[0] = round(self.eps_init / ESTIMATE_GRID)
+        est = np.full(c, self.eps_init, dtype=float)
+        seen = np.zeros(c, dtype=np.int64)
+        for s in range(1, width):
+            total = counts[:, :, s].sum(axis=1, dtype=np.int64)
+            loss = 1.0 - (total - seen) / n
+            new = (s * est + loss) / (s + 1)  # weight s: s - 1 slots seen before
+            np.greater(np.abs(new - est), self.delta, out=moving[s])
+            point[s] = np.rint(new / ESTIMATE_GRID)  # in 0.._GRID_POINTS - 1
+            est, seen = new, total
+        return point, moving
+
+    def block_rule(self, horizon: int, counts: np.ndarray):
+        """``decide`` for fresh runs, one per replication of ``counts``,
+        whatever this policy's own run state. With s = horizon - t slots
+        observed, a decision reads the estimate's grid point and moving flag
+        after s slots and the replication's last block, and makes the first
+        block, the ramp and the clip of ``decide``. Each plan is solved
+        through the policy's cache when a decision first needs it, so the
+        batch solves the tables the per-frame runs would.
+        """
+        c, n, width = counts.shape
+        self._check_receivers(n)
+        point, moving = self._estimate_paths(counts)
+        plans = np.zeros((_GRID_POINTS, width), dtype=np.min_scalar_type(horizon))
+        solved = np.zeros(_GRID_POINTS, dtype=bool)
+        last = np.zeros(c, dtype=np.int64)  # 0 until a replication's first block
+
+        def rule(active, t, m):
+            s = horizon - t
+            at = point[s, active]
+            for p in np.unique(at[~solved[at]]).tolist():
+                plans[p] = self._plan(p).k_star[:width]
+                solved[p] = True
+            planned = plans[at, t]
+            prev = last[active]
+            ramp = np.minimum(np.maximum(planned, prev), prev + 1)
+            k = np.where(prev == 0, 1, np.where(moving[s, active], ramp, planned))
+            k = np.minimum(k, np.minimum(t, m))
+            last[active] = k
+            return k
+
+        return rule
 
 
 def make_policy(

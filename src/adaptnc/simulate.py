@@ -2,21 +2,27 @@
 
 The reference engine walks one frame slot by slot, feeding the policy and
 recording its block decisions. The batch engine replays the identical
-per-stream channel bits for many replications of a plan at once with array
+per-stream channel bits for many replications at once with array
 arithmetic; for the same (seed, stream) both produce the same delivered
-count, which the tests exploit. The learning policy has no plan, so it always
-runs through the reference engine. All channel randomness flows through
-RngSpec so the replication order never matters.
+count, which the tests exploit. Every policy runs through the batch engine
+in ``monte_carlo_throughput``: a plan through its block sizes, and the
+learning policy through estimate paths computed up front, since its estimate
+depends only on the slots observed. The reference engine drives the runs
+that carry a policy's state across frames (``learning_run``) and the
+multi-flow loop. All channel randomness flows through RngSpec so the
+replication order never matters.
 
 The batch engine first builds a reception index of each replication: per
 (slot, receiver), the receptions counted so far (``csum``) and the slot of
-each reception by its ordinal (``slot_of``). A block step then reads where
-each receiver's k-th reception after the block's start falls with one gather,
-so a replication costs time linear in the horizon, whatever the plan.
-Replications run in chunks sized by a fixed budget of (slot, receiver) cells.
-Every chunk builds its index in the same two arrays and draws its streams in
-small blocks into one reused buffer, so the engine's working set depends on
-the frame's shape and not on the number of replications.
+each reception by its ordinal (``slot_of``). A block step then asks the
+policy's ``block_rule`` for every active replication's block size and reads
+where each receiver's k-th reception after the block's start falls with one
+gather, so a replication costs time linear in the horizon, whatever the
+policy. Replications run in chunks sized by a fixed budget of (slot,
+receiver) cells. Every chunk builds its index in the same two arrays and
+draws its streams in small blocks into one reused buffer, so the engine's
+working set depends on the frame's shape and not on the number of
+replications.
 """
 
 from dataclasses import dataclass
@@ -126,9 +132,11 @@ class ThroughputSummary:
 # reception index, (horizon + 1) per receiver, but never fewer than
 # _MIN_CHUNK. Below T = 255 a cell takes 1 byte in csum and 1 in slot_of, so
 # the index takes 4 MiB; the block steps' int64 arrays, one entry per
-# receiver of a replication, are a few of 16 MiB / (T + 1) each. The floor
-# takes over once (T + 1) * n passes 2048, and keeps the block-step loop, up
-# to one step per slot, spread over enough replications.
+# receiver of a replication, are a few of 16 MiB / (T + 1) each, and the
+# learning policy's estimate paths take 3 bytes a (slot, replication), so
+# 6 MiB / n. The floor takes over once (T + 1) * n passes 2048, and keeps
+# the block-step loop, up to one step per slot, spread over enough
+# replications.
 _CHUNK_CELLS = 2**21
 _MIN_CHUNK = 1024
 # Draw blocks: as many replications as keep a block to about this many
@@ -175,15 +183,17 @@ def _reception_index(horizon, erasures, rng, csum, slot_of):
         flat_slot[rows + ordinal] = slots
 
 
-def _block_steps(k_vec, horizon, backlog, csum, slot_of) -> np.ndarray:
-    """Delivered counts of a plan on each replication of a reception index.
+def _block_steps(rule, horizon, backlog, csum, slot_of) -> np.ndarray:
+    """Delivered counts of a policy's block ``rule`` (``block_rule``) on each
+    replication of a reception index.
 
-    A block step is a gather with no scan over slots. A block of k packets
-    started at slot ``start`` needs receiver i's reception number
+    A block step is one call of the rule for every replication with slots
+    and packets left, and a gather with no scan over slots. A block of k
+    packets started at slot ``start`` needs receiver i's reception number
     ``need = csum[start] + k - 1`` (counted from 0): it completes iff no
     receiver's ``slot_of[need]`` is 0, and then ends at the latest of them.
-    A plan's block never exceeds the slots left (``BlockPolicy`` clips it),
-    so need < horizon. The cost is linear in the horizon.
+    Every rule clips its block to the slots left, so need < horizon. The
+    cost is linear in the horizon.
     """
     c, n = csum.shape[:2]
     delivered = np.zeros(c, dtype=np.int64)
@@ -194,7 +204,7 @@ def _block_steps(k_vec, horizon, backlog, csum, slot_of) -> np.ndarray:
     m = np.full(c, backlog, dtype=np.int64)
     active = np.arange(c)
     while active.size:
-        k = np.minimum(k_vec[t[active]], m[active])
+        k = rule(active, t[active], m[active])
         if (k < 1).any():
             raise ValueError("policy proposed an empty block mid-frame")
         base = row_base[active]
@@ -211,10 +221,10 @@ def _block_steps(k_vec, horizon, backlog, csum, slot_of) -> np.ndarray:
     return delivered
 
 
-def _batch_delivered(k_vec, horizon, backlog, erasures, rng, replications) -> np.ndarray:
-    """Delivered counts of a plan on streams rng.stream .. + replications - 1.
+def _batch_delivered(policy, horizon, backlog, erasures, rng, replications) -> np.ndarray:
+    """Delivered counts of a policy on streams rng.stream .. + replications - 1.
 
-    Exactly reproduces simulate_frame(policy with this plan, rng.shifted(r))
+    Exactly reproduces simulate_frame(freshly reset policy, rng.shifted(r))
     for each replication r: same Philox keys, same bits, same block
     semantics. The replications run in chunks of the size the chunk rule
     gives, and every chunk builds its reception index in the same two arrays,
@@ -230,7 +240,8 @@ def _batch_delivered(k_vec, horizon, backlog, erasures, rng, replications) -> np
     for lo in range(0, replications, chunk):
         c = min(chunk, replications - lo)
         _reception_index(horizon, erasures, rng.shifted(lo), csum[:c], slot_of[:c])
-        delivered[lo : lo + c] = _block_steps(k_vec, horizon, backlog, csum[:c], slot_of[:c])
+        rule = policy.block_rule(horizon, csum[:c])
+        delivered[lo : lo + c] = _block_steps(rule, horizon, backlog, csum[:c], slot_of[:c])
     return delivered
 
 
@@ -247,28 +258,19 @@ def monte_carlo_throughput(
 
     Replication r uses stream rng.stream + r, so results are identical
     whether replications run batched, chunked, or one by one, and any single
-    replication can be replayed with simulate_frame for inspection. The
-    batch engine runs replications in chunks sized by the frame's slots x
-    receivers, so its working set does not grow with the replication count.
-    A plan goes through the batch engine; the learning policy, which has no
-    plan, runs frame by frame and is reset between replications.
+    replication can be replayed with simulate_frame on a freshly reset
+    policy. Every policy runs through the batch engine, in chunks sized by
+    the frame's slots x receivers, so its working set does not grow with the
+    replication count. The policy is left reset: a learning policy keeps the
+    plans it solved but no run state.
     """
     if horizon < 0 or backlog < 0:
         raise ValueError("horizon and backlog must be non-negative")
     if replications < 1:
         raise ValueError("need at least one replication")
-    k_vec = policy.decision_vector(horizon)
-    if k_vec is None:
-        delivered = np.empty(replications, dtype=np.int64)
-        for r in range(replications):
-            policy.reset()
-            trace = simulate_frame(policy, horizon, backlog, channel, rng.shifted(r))
-            delivered[r] = trace.delivered
-    else:
-        k_vec = np.asarray(k_vec, dtype=np.int64)
-        delivered = _batch_delivered(
-            k_vec, horizon, backlog, channel.erasures, rng, replications
-        )
+    policy.check_horizon(horizon)
+    policy.reset()
+    delivered = _batch_delivered(policy, horizon, backlog, channel.erasures, rng, replications)
 
     mean = float(delivered.mean())
     var = float(delivered.var(ddof=1)) if replications > 1 else 0.0

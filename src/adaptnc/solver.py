@@ -30,13 +30,27 @@ tails are log-supermodular in (k, t), so by Topkis' theorem the maximizer is
 monotone. A capped solve builds no row for a block that no state's cap
 allows.
 
-The windowed scan also stops at the physical ceiling. No receiver hears more
-than a (1 - e) share of the slots, so no plan delivers more than
-(1 - max e) t packets from state t. Once the best block found reaches that
-ceiling to within a relative 1e-13, no later block can beat it by the 1e-12
-tie margin, so none can win. A single receiver or a lossless channel reaches
-the ceiling with its first candidate, so those solves take one Bellman
-evaluation per state instead of a window that grows with t.
+The windowed scan also stops at the physical ceiling C = (1 - max e) t: no
+receiver hears more than a (1 - e) share of the slots, so no plan delivers
+more than C packets from state t, whatever its first block. A later block
+wins only if its computed value beats the best one, w, by the tie margin
+1e-12 (1 + w), so the scan stops once w reaches C less half that margin,
+C - 5e-13 (1 + C). Why that is sound: w + 1e-12 (1 + w) then exceeds
+C + 4.99e-13 (1 + C), so a later block could win only with a computed value
+about 5e-13 (1 + C) above a bound its exact value obeys. The computed values
+sit far closer to the exact ones: on one receiver, whose exact value is C,
+they lie between 2.3e-13 C below and 3.4e-14 C above it up to T = 2000 (ten
+erasure rates from 0.05 to 0.9), a drift that grows about linearly with T.
+A single receiver or a lossless channel reaches the ceiling with its first
+candidate, so those solves take one Bellman evaluation per state instead of
+a window that grows with t, while the drift stays below the half margin:
+to about T = 4000 at the worst rates seen.
+
+After each state the solve keeps the rows a later state reads first: from
+the state's optimum up to the last block the window evaluated, and the
+greedy scan's rows from g up. The rows between those two bands, skipped by
+the ceiling stop, go, so a single receiver holds three rows and not every
+row up to the greedy block.
 """
 
 import math
@@ -158,7 +172,7 @@ def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> Policy
             hi = int(k_greedy[t])
             if lo > hi:
                 lo = hi
-            ceiling = top * t * (1.0 - 1e-13)
+            ceiling = top * t - 5e-13 * (1.0 + top * t)
         else:
             lo, hi = 1, bound
             ceiling = math.inf
@@ -180,11 +194,11 @@ def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> Policy
         k_star[t] = best_k
 
         if windowed:
-            # later states read rows from min(k_star[t], g) up, unless a
-            # per-state cap drops below that and rebuilds the row it needs
-            floor = min(best_k, g)
-            for k in [k for k in rows if k < floor]:
-                del rows[k]
+            # later states read first the window's rows from k_star[t] up and
+            # the greedy scan's from g up (best_k <= k <= g); a row dropped
+            # here is rebuilt, bit for bit, if a later state reads it
+            for j in [j for j in rows if j < best_k or k < j < g]:
+                del rows[j]
 
     return PolicyTable(k_star=k_star, k_greedy=k_greedy, value=value, stats=stats)
 

@@ -387,6 +387,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(needle) + "$"):
             parse_config(text)
 
+    @pytest.mark.parametrize("written, number", [
+        ("010", 10), ("007", 7), ("-12", -12), ("+3", 3), ("0", 0), ("0o17", 15),
+        ("0x1F", 31), ("!!int 010", 10),
+    ])
+    def test_integers_load_as_yaml_1_2_reads_them(self, written, number):
+        # YAML 1.1 reads 010 as octal 8 and has no 0o form
+        loaded = yaml.load(f"x: {written}", Loader=_UniqueKeyLoader)["x"]
+        assert type(loaded) is int and loaded == number
+        if number >= 2:  # threshold needs t_max >= 2
+            assert parse_config(f"kind: threshold\nt_max: {written}\n").t_max == number
+
+    @pytest.mark.parametrize("written", ["1:30", "0b101", "1_000", "-0x1F", "0o8", "1__0"])
+    def test_yaml_1_1_integer_forms_are_strings(self, written):
+        # base 60, binary and underscores are YAML 1.1 only: they load as
+        # strings, and an int field rejects them with the plain message
+        assert yaml.load(f"x: {written}", Loader=_UniqueKeyLoader)["x"] == written
+        with pytest.raises(ConfigError, match=re.escape(f"horizon must be an integer, got '{written}'")):
+            parse_config(f"kind: solve\nchannel: {{receivers: 2, erasure: 0.2}}\nhorizon: {written}\n")
+        assert yaml.safe_load("x: 010") == {"x": 8}
+
+    def test_a_bad_int_tag_is_a_yaml_error(self):
+        with pytest.raises(ConfigError, match="'abc' is not an integer"):
+            parse_config("kind: solve\nchannel: {receivers: 2, erasure: 0.2}\nhorizon: !!int abc\n")
+
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     def test_json_floats_load_bit_for_bit(self, rho):
@@ -961,6 +985,21 @@ class TestCliMultiflow:
             for k in range(20)
             for i, fid in enumerate(trace.flow_ids)
         ]
+
+    @pytest.mark.parametrize("kind", ["multiflow", "region"])
+    def test_a_rho_at_which_weights_overflow_exits_2(self, tmp_path, capsys, kind):
+        # rho > 0 holds, but weight / rho is inf and its product with a
+        # curve's 0 NaN; the allocator's own check runs at load
+        extra = {"grid": [0.3]} if kind == "region" else {}
+        text = yaml.safe_dump({
+            "kind": kind, "rho": 1.0e-310, "flows": self.FLOWS, "frames": 5,
+            "out": str(tmp_path / "run"), **extra,
+        })
+        path = tmp_path / "tiny_rho.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main([kind, "--config", str(path)]) == 2
+        assert "rho 1e-310 is too small" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_zero_flows_writes_header_only(self, tmp_path):
         path, _ = write_config(

@@ -327,6 +327,43 @@ class TestAllocateSlots:
         with pytest.raises(ConfigError, match="horizon must be >= 0"):
             allocate_slots(flows, np.zeros(2), 0.1, -1, curves)
 
+    def test_rejects_a_rho_at_which_weights_overflow(self):
+        # weight / rho = inf times a curve's 0 at no slots is NaN, which
+        # would turn the schedule into [0 0] with RuntimeWarnings
+        flows = [flow(0), flow(1)]
+        curves = [service_curve(f, 5) for f in flows]
+        needle = "rho 1e-310 is too small"
+        with pytest.raises(ConfigError, match=needle):
+            allocate_slots(flows, np.zeros(2), 1e-310, 5, curves)
+        with pytest.raises(ConfigError, match=needle):
+            run_online(flows, 3, 5, 1e-310, RngSpec(1, 0))
+        with pytest.raises(ConfigError, match=needle):
+            static_dual_iteration(flows, 5, 1e-310, 3)
+        # weight 1 over 1e-308 is finite, but not once summed over the
+        # slots and flows
+        assert np.isfinite(1.0 / 1e-308)
+        with pytest.raises(ConfigError, match="rho 1e-308 is too small"):
+            allocate_slots(flows, np.zeros(2), 1e-308, 5, curves)
+        assert allocate_slots(flows, np.zeros(2), 1e-300, 5, curves).sum() <= 5
+
+    @pytest.mark.parametrize("n_flows", [1, 2, 3, 4])
+    def test_end_flows_match_reference_on_ties(self, n_flows):
+        # the last flow's running maximum and the first flow's single row
+        # must break ties as the full max-plus step does: flat and stepped
+        # curves with integer deficits tie often
+        gen = np.random.default_rng(900 + n_flows)
+        for case in range(300):
+            horizon = int(gen.integers(0, 13))
+            flows = [flow(i, weight=float(gen.choice([0.5, 1.0]))) for i in range(n_flows)]
+            curves = [
+                curve(np.concatenate([[0.0], np.cumsum(gen.choice([0.0, 0.5, 1.0], horizon))]), i)
+                for i in range(n_flows)
+            ]
+            nu = gen.integers(0, 3, n_flows).astype(float)
+            got = allocate_slots(flows, nu, 1.0, horizon, curves)
+            want = _reference_allocate(flows, nu, 1.0, horizon, curves)
+            assert np.array_equal(got, want), (case, got, want)
+
 
 class TestDeficitPlumbing:
     def test_thinning_extremes(self):

@@ -11,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptnc
 
 from adaptnc import (
     ChannelModel,
+    ConfigError,
     LearningPolicy,
     OptimalPolicy,
     PolicyTable,
@@ -400,17 +403,87 @@ class TestMonteCarloThroughput:
         summary = monte_carlo_throughput(RetransmissionPolicy(5), 5, 1_000, ch, 4_000, RngSpec(3, 0))
         assert abs(summary.mean - value) < 4 * summary.stderr
 
-    def test_history_driven_policy_uses_stepped_engine(self):
-        # a learning policy has no decision vector, so the per-frame loop
-        # with a reset between replications must carry it
+    def test_learning_policy_batch_matches_fresh_frames(self):
+        # the learning policy runs through the batch engine on estimate
+        # paths; every replication must be the per-frame run of a fresh
+        # policy on its stream, and the call leaves the policy reset with
+        # its solved plans cached
         ch = ChannelModel.homogeneous(0.2, 3)
         policy = LearningPolicy(n_receivers=3, horizon=5)
-        summary = monte_carlo_throughput(policy, 5, 5, ch, 50, RngSpec(21, 0))
+        policy.observe_slot(0, 3)
+        summary = monte_carlo_throughput(policy, 5, 5, ch, 50, RngSpec(21, 0), keep_samples=True)
         by_hand = []
         for r in range(50):
             fresh = LearningPolicy(n_receivers=3, horizon=5)
             by_hand.append(simulate_frame(fresh, 5, 5, ch, RngSpec(21, r)).delivered)
+        assert summary.samples.tolist() == by_hand
         assert summary.mean == pytest.approx(np.mean(by_hand))
+        assert policy.slots_observed == 0 and policy.decision_log == []
+        assert policy.eps_hat == policy.eps_hat_prev == policy.eps_init
+        assert policy._tables
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        horizon=st.integers(0, 30),
+        rates=st.one_of(
+            st.tuples(st.sampled_from([0.0, 0.1, 0.35, 0.7, 1.0]), st.integers(1, 8)).map(
+                lambda pair: (pair[0],) * pair[1]
+            ),
+            st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.55, 0.9, 1.0]), min_size=1, max_size=8).map(
+                tuple
+            ),
+        ),
+        backlog_share=st.floats(0.0, 1.0),
+        delta=st.sampled_from([0.0, 0.05, 1.0]),
+        eps_init=st.sampled_from([0.0, 0.5, 1.0]),
+        reps=st.integers(1, 200),
+        rows=st.integers(1, 200),
+        stream=st.integers(0, 2**40),
+    )
+    def test_learning_batch_replays_fresh_frames(
+        self, horizon, rates, backlog_share, delta, eps_init, reps, rows, stream
+    ):
+        # chunks of ``rows`` replications, so the counts cross chunk edges
+        from adaptnc import simulate
+
+        backlog = round(backlog_share * horizon)
+        ch = ChannelModel(rates)
+        n = len(rates)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_MIN_CHUNK", 1)
+            patch.setattr(simulate, "_CHUNK_CELLS", rows * (horizon + 1) * n)
+            summary = monte_carlo_throughput(
+                LearningPolicy(n, horizon, delta, eps_init), horizon, backlog, ch, reps,
+                RngSpec(5, stream), keep_samples=True,
+            )
+        for r in range(reps):
+            fresh = LearningPolicy(n, horizon, delta, eps_init)
+            trace = simulate_frame(fresh, horizon, backlog, ch, RngSpec(5, stream).shifted(r))
+            assert summary.samples[r] == trace.delivered, r
+
+    @pytest.mark.parametrize("backlog", [0, 4])
+    def test_learning_errors_match_the_per_frame_engine(self, backlog):
+        # a frame longer than the policy's horizon fails alike in both
+        # engines, whatever the backlog; a channel with another receiver
+        # count fails alike once a slot is played, and neither fails at
+        # backlog 0
+        ch = ChannelModel.homogeneous(0.3, 2)
+        engines = (
+            lambda policy, horizon: simulate_frame(policy, horizon, backlog, ch, RngSpec(4, 0)),
+            lambda policy, horizon: monte_carlo_throughput(
+                policy, horizon, backlog, ch, 3, RngSpec(4, 0)
+            ),
+        )
+        for run in engines:
+            with pytest.raises(ConfigError, match="^learning plan built to horizon 5, frame needs 6$"):
+                run(LearningPolicy(2, 5), 6)
+            if backlog:
+                with pytest.raises(
+                    ValueError, match="^learning policy plans for 3 receivers, the channel has 2$"
+                ):
+                    run(LearningPolicy(3, 5), 5)
+            else:
+                run(LearningPolicy(3, 5), 5)
 
 
 class TestLearningRun:
