@@ -23,10 +23,18 @@ receiver) cells. Every chunk builds its index in the same two arrays and
 draws its streams in small blocks into one reused buffer, so the engine's
 working set depends on the frame's shape and not on the number of
 replications.
+
+A frame of T <= 12 slots has only 2**T reception patterns per receiver, so
+its index rows are not built but read: two uint8 tables per horizon hold the
+``csum`` and ``slot_of`` rows of every pattern, 2**T x (T + 1) bytes each
+(11 KiB at T = 10, 52 KiB at T = 12), built once by the general path, and
+each receiver's draws become a pattern id that selects both rows. Longer
+frames build their rows from the draws; a 16-slot cap would need 2.2 MB of
+tables per horizon.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -145,42 +153,86 @@ _MIN_CHUNK = 1024
 _DRAW_CELLS = 2**16
 
 
+def _index_bits(bits, csum, slot_of):
+    """Write the reception index of reception bits ``bits[r, i, s]`` (b,
+    receivers, horizon) into ``csum`` and ``slot_of``, two C-contiguous (b,
+    receivers, horizon + 1) arrays, with ``csum[:, :, 0]`` already 0.
+
+    ``csum`` is the running count of the bits. ``slot_of`` is built by
+    scattering each reception's 1-based slot to its ordinal, read from
+    ``csum``; a slot without a reception goes to the row's last column, which
+    is then set to 0.
+    """
+    b, n, horizon = bits.shape
+    np.cumsum(bits, axis=2, dtype=csum.dtype, out=csum[:, :, 1:])
+    ordinal = np.where(bits, csum[:, :, :-1], horizon)
+    rows = np.arange(b * n).reshape(b, n, 1) * (horizon + 1)
+    slot_of[:] = 0
+    slot_of.reshape(-1)[rows + ordinal] = np.arange(1, horizon + 1, dtype=slot_of.dtype)
+    slot_of[:, :, horizon] = 0
+
+
+# Frames of at most _PATTERN_SLOTS slots read their index rows from tables of
+# all 2**T reception patterns of one receiver. The tables double with every
+# slot: the two of 2**T x (T + 1) bytes take 104 KiB at T = 12 and build in
+# about a millisecond, while a 16-slot cap would need 2.2 MB per horizon.
+_PATTERN_SLOTS = 12
+
+
+@lru_cache(maxsize=_PATTERN_SLOTS)
+def _pattern_tables(horizon):
+    """The ``csum`` and ``slot_of`` rows, (2**horizon, horizon + 1) read-only
+    uint8 tables, of every reception pattern of a frame of ``horizon`` slots:
+    pattern p receives in slot s + 1 iff bit s of p is set. Built by
+    ``_index_bits`` over all patterns, so each row is the general path's."""
+    patterns = np.arange(2**horizon)[:, None, None] >> np.arange(horizon) & 1
+    csum = np.zeros((2**horizon, 1, horizon + 1), dtype=np.min_scalar_type(horizon + 1))
+    slot_of = np.empty_like(csum)
+    _index_bits(patterns.astype(bool), csum, slot_of)
+    csum.flags.writeable = slot_of.flags.writeable = False
+    return csum[:, 0], slot_of[:, 0]
+
+
 def _reception_index(horizon, erasures, rng, csum, slot_of):
     """Write the reception index of the frames of streams rng.stream .. + c - 1
-    into ``csum`` and ``slot_of``, two (c, receivers, horizon + 1) arrays of
-    the smallest unsigned type that holds horizon + 1, with ``csum[:, :, 0]``
-    already 0.
+    into ``csum`` and ``slot_of``, two C-contiguous (c, receivers, horizon +
+    1) arrays of the smallest unsigned type that holds horizon + 1, with
+    ``csum[:, :, 0]`` already 0.
 
     Receiver-major: ``csum[r, i, s]`` counts receiver i's receptions in the
     first s slots of replication r, for s = 0..horizon. ``slot_of[r, i, j]``
     is the 1-based slot of its (j+1)-th reception, for j below
-    ``csum[r, i, horizon]``, and 0 from there to j = horizon - 1; the last
-    column holds nothing.
+    ``csum[r, i, horizon]``, and 0 from there to the last column, j =
+    horizon, which is always 0.
 
     The streams are drawn in small blocks, one ``fill_streams`` call each
-    into a reused buffer, with the bits of ``frame_bits``. ``slot_of`` is
-    built by scattering each reception's slot to its ordinal, read from
-    ``csum``; a slot without a reception goes to the row's last column.
+    into a reused buffer, with the bits of ``frame_bits``. A frame of at most
+    ``_PATTERN_SLOTS`` slots turns each receiver's bits into its pattern id,
+    bit s for slot s + 1, with one integer matmul, and takes both rows from
+    the horizon's ``_pattern_tables``; a longer frame's rows are built by
+    ``_index_bits``. Both paths write the same arrays.
     """
     c, n = len(csum), len(erasures)
-    dtype = csum.dtype
-    receive = (1.0 - np.asarray(erasures))[:, None]
-    slots = np.arange(1, horizon + 1, dtype=dtype)
+    receive = 1.0 - np.asarray(erasures)
     block = max(1, min(c, _DRAW_CELLS // (horizon * n)))
     u = np.empty((block, horizon, n))
     frames = list(u)
-    bits = np.empty((block, n, horizon), dtype=bool)
-    flat_slot = slot_of.reshape(-1)
+    if horizon <= _PATTERN_SLOTS:
+        tables = _pattern_tables(horizon)
+        weights = 1 << np.arange(horizon, dtype=np.int16)
+        bits = np.empty((block, horizon, n), dtype=bool)
+    else:
+        bits = np.empty((block, n, horizon), dtype=bool)
     for lo in range(0, c, block):
         b = min(block, c - lo)
         fill_streams(rng.seed, rng.shifted(lo).stream, frames[:b])
-        np.less(u[:b].transpose(0, 2, 1), receive, out=bits[:b])
-        counts = csum[lo : lo + b]
-        np.cumsum(bits[:b], axis=2, dtype=dtype, out=counts[:, :, 1:])
-        ordinal = np.where(bits[:b], counts[:, :, :-1], horizon)
-        rows = np.arange(lo * n, (lo + b) * n).reshape(b, n, 1) * (horizon + 1)
-        slot_of[lo : lo + b] = 0
-        flat_slot[rows + ordinal] = slots
+        if horizon <= _PATTERN_SLOTS:
+            patterns = weights @ np.less(u[:b], receive, out=bits[:b])
+            np.take(tables[0], patterns, axis=0, out=csum[lo : lo + b])
+            np.take(tables[1], patterns, axis=0, out=slot_of[lo : lo + b])
+        else:
+            np.less(u[:b].transpose(0, 2, 1), receive[:, None], out=bits[:b])
+            _index_bits(bits[:b], csum[lo : lo + b], slot_of[lo : lo + b])
 
 
 def _block_steps(rule, horizon, backlog, csum, slot_of) -> np.ndarray:

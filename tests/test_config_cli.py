@@ -2,6 +2,7 @@
 exit codes, CSV schemas, manifest contents, determinism across seeds and
 worker counts."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -887,6 +888,32 @@ class TestCliSimulate:
         serial = self.run(tmp_path, "a")
         pooled = self.run(tmp_path, "d", extra=["--workers", "2"])
         assert pooled == serial
+
+    # simulate.csv of two fixed runs, pinned by digest: a 10-slot frame takes
+    # the pattern-table index and a 14-slot frame the general one, so a change
+    # to the batch engine that moves one sample of either fails here
+    @pytest.mark.parametrize(
+        "horizon, digest",
+        [
+            (10, "657afaeafed4e36f503b154389c2a0d5942b2b6538e146904dd0c886f83faf8f"),
+            (14, "c44a7c6f28ec3aba123213ef7e27642dbc4deb1a8a1ff2113d358cddf56bcdcd"),
+        ],
+    )
+    def test_simulate_csv_is_pinned(self, tmp_path, horizon, digest):
+        path, _ = write_config(
+            tmp_path,
+            kind="simulate",
+            seed=2027,
+            horizon=horizon,
+            channel={"receivers": 5},
+            epsilon_grid=[0.2, 0.5],
+            policies=["optimal", "greedy", "conservative", "retransmission"],
+            replications=2000,
+            out=str(tmp_path / "run"),
+        )
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        csv = (tmp_path / "run" / "simulate.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == digest
 
 
 class TestCliLearn:

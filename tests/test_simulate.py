@@ -264,12 +264,19 @@ class TestEngineAgreement:
             (300, "retransmission", (0.0, 0.4, 1.0), 80),
             (1000, "retransmission", (0.3, 0.3, 0.3), 30),
             (1000, "optimal", (0.3, 0.3, 0.3), 30),
+            # short frames on both sides of the pattern-table cap
+            (1, "retransmission", (0.0, 0.4, 1.0), 21_846),
+            (12, "retransmission", (0.0, 0.4, 1.0), 1_821),
+            (13, "retransmission", (0.0, 0.4, 1.0), 1_681),
+            (12, "optimal", (0.1, 0.3, 0.6), 1_821),
+            (13, "optimal", (0.1, 0.3, 0.6), 1_681),
         ],
     )
     def test_engines_agree_on_long_horizons(self, monkeypatch, horizon, plan, erasures, reps):
         # the reception index must replay the per-slot loop exactly far past
-        # the short frames above, across draw blocks and chunks, with a
-        # receiver that gets everything and one that gets nothing
+        # the short frames above and on both sides of the pattern-table cap,
+        # across draw blocks and chunks, with a receiver that gets everything
+        # and one that gets nothing
         from adaptnc import simulate
 
         ch = ChannelModel(erasures)
@@ -300,6 +307,52 @@ class TestEngineAgreement:
                     # with no backlog there is nothing to draw
                     assert chunks == (_pieces(count, rows) if backlog else [])
                     assert blocks == [b for c in chunks for b in _pieces(c, block)]
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        horizon=st.integers(1, 12),
+        rates=st.lists(
+            st.sampled_from([0.0, 0.1, 0.35, 0.5, 0.8, 1.0]), min_size=1, max_size=8
+        ).map(tuple),
+        reps=st.integers(1, 150),
+        rows=st.integers(1, 150),
+        block=st.integers(1, 40),
+        stream=st.integers(0, 2**64 - 1),
+    )
+    def test_pattern_tables_match_the_general_index(
+        self, horizon, rates, reps, rows, block, stream
+    ):
+        # a short frame's index, read from the pattern tables chunk by chunk
+        # and draw block by draw block, is the general path's index of the
+        # whole run built in one call, bit for bit
+        from adaptnc import simulate
+
+        n = len(rates)
+        rng = RngSpec(13, stream)
+        shape = (reps, n, horizon + 1)
+        whole = np.zeros(shape, dtype=np.uint8), np.empty(shape, dtype=np.uint8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_PATTERN_SLOTS", 0)
+            simulate._reception_index(horizon, rates, rng, *whole)
+
+        steps, pieces = simulate._block_steps, []
+
+        def record(rule, horizon, backlog, csum, slot_of):
+            pieces.append((csum.copy(), slot_of.copy()))
+            return steps(rule, horizon, backlog, csum, slot_of)
+
+        with pytest.MonkeyPatch.context() as patch:
+            chunks, blocks = _split_batches(patch, horizon, n, rows, block)
+            patch.setattr(simulate, "_block_steps", record)
+            monte_carlo_throughput(
+                RetransmissionPolicy(horizon), horizon, 1, ChannelModel(rates), reps, rng
+            )
+        assert chunks == _pieces(reps, rows)
+        assert blocks == [b for c in chunks for b in _pieces(c, block)]
+        for got, want in zip(zip(*pieces), whole):
+            assert np.concatenate(got).tobytes() == want.tobytes()
+        # slot_of's last column, past the last possible reception, holds 0
+        assert not whole[1][:, :, horizon].any()
 
     def test_chunked_batches_match_one_big_batch(self, monkeypatch):
         ch = ChannelModel.homogeneous(0.3, 2)
