@@ -14,7 +14,6 @@ from .config import (
 from .decoding import (
     DecodingTable,
     completion_second_moment,
-    decode_prob,
     expected_completion_time,
 )
 from .errors import ConfigError, DivergenceError, InvariantViolation
@@ -88,7 +87,6 @@ __all__ = [
     "allocate_slots",
     "completion_second_moment",
     "config_digest",
-    "decode_prob",
     "deficit_slope",
     "expected_completion_time",
     "frame_bits",

@@ -9,8 +9,8 @@ never a copy of it:
   multiflow.py  each flow's ranges (FlowSpec); for multiflow, the horizon, unique
                 flow ids and arrivals against the horizon (check_flows); for
                 region, the axis, the two template flows and every grid cell's
-                flow pair (region_pairs); for both, a rho at which the
-                allocator's weights overflow (check_rho)
+                flow pair (region_pairs); for both, the step size rho: > 0,
+                and not so small that the allocator's weights overflow (check_rho)
 This module checks only what the models cannot see: field types, the shape
 of each section, and cross-field context such as which sections a kind
 requires, which fields it reads (KIND_FIELDS) and that a region grid is not
@@ -193,7 +193,6 @@ class FlowConfig:
     delivery_ratio: float = 0.8
     weight: float = 1.0
     arrival_process: str = "bernoulli"
-    arrival_batches: int | None = None
 
     def __post_init__(self):
         _check_types(self, "flows.")
@@ -206,7 +205,6 @@ class FlowConfig:
             delivery_ratio=self.delivery_ratio,
             weight=self.weight,
             arrival_process=self.arrival_process,
-            arrival_batches=self.arrival_batches,
         )
 
 
@@ -240,7 +238,6 @@ class ExperimentConfig:
         _require(self.horizon >= 0, "horizon must be >= 0")
         _require(self.replications >= 1, "replications must be >= 1")
         _require(self.frames >= 1, "frames must be >= 1")
-        _require(self.rho > 0, "rho must be > 0")
         _require(self.intra in INTRA_POLICIES, f"intra must be one of {', '.join(INTRA_POLICIES)}")
         _require(self.backlog is None or self.backlog >= 0, "backlog must be >= 0")
         # every section, whatever the kind, must build valid model objects

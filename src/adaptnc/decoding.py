@@ -110,18 +110,12 @@ def _channel_tails(slots: int, rates):
     return tail
 
 
-def decode_prob(block: int, slots: int, channel: ChannelModel) -> float:
-    """Probability every receiver decodes a ``block``-packet block in ``slots``."""
-    if block < 0 or slots < 0:
-        raise ValueError("block and slots must be non-negative")
-    return float(_channel_tails(slots, Counter(channel.erasures).items())(block)[slots])
-
-
 class DecodingTable:
     """All block decode probabilities of one channel up to a slot horizon.
 
-    ``values[k, t]`` is decode_prob(k, t, channel) for 0 <= k, t <= horizon,
-    with values[0, :] = 1 and values[k, t] = 0 for k > t; it is frozen after
+    ``values[k, t]`` is P(k, t), the probability that every receiver decodes
+    a k-packet block within t slots, for 0 <= k, t <= horizon, with
+    values[0, :] = 1 and values[k, t] = 0 for k > t; it is frozen after
     construction. The probability that a block of k packets completes exactly
     at slot t is values[k, t] - values[k, t-1]. The solver does not build
     this table: it builds the rows it reads with the same kernel.
@@ -140,7 +134,7 @@ class DecodingTable:
 
 
 def _shortfall_series(block: int, channel: ChannelModel, weighted: bool) -> float:
-    """Sum over t >= block of w(t) * (1 - decode_prob(block, t, channel)).
+    """Sum over t >= block of w(t) * (1 - P(block, t)), P as in DecodingTable.
 
     The weight w(t) is 2t+1 if ``weighted``, else 1. The kernel is evaluated
     on a slot window that doubles until some term is below _SERIES_TOL at a
@@ -181,7 +175,7 @@ def expected_completion_time(block: int, channel: ChannelModel) -> float:
     """Mean number of slots until every receiver decodes a ``block`` block.
 
     Evaluated as block + sum over t >= block of the shortfall probability
-    1 - decode_prob(block, t, channel), truncated with a geometric tail bound
+    1 - P(block, t) (see DecodingTable), truncated with a geometric tail bound
     once the shortfall drops below _SERIES_TOL.
     """
     return block + _shortfall_series(block, channel, weighted=False)

@@ -6,7 +6,7 @@ as a function of allocated slots, saturated backlog) feeds a per-frame slot
 allocation that maximizes deficit-adjusted weighted service; virtual deficit
 queues track how far each flow is behind its requirement and steer future
 allocations. The online loop combines the allocation with slot-level
-simulation of every flow's transmissions, Bernoulli-batch (or Poisson)
+simulation of every flow's transmissions, per-slot Bernoulli (or Poisson)
 arrivals, and per-frame packet drops: traffic not delivered within its frame
 is lost, never queued.
 """
@@ -41,8 +41,7 @@ class FlowSpec:
     arrival_rate: float  # mean packets per frame
     delivery_ratio: float  # required delivered/arrived fraction
     weight: float = 1.0
-    arrival_process: str = "bernoulli"  # "bernoulli" (batch) or "poisson"
-    arrival_batches: int | None = None  # Bernoulli trials per frame; None -> horizon
+    arrival_process: str = "bernoulli"  # "bernoulli" (one trial per slot) or "poisson"
 
     def __post_init__(self):
         if not 0 <= self.arrival_rate < math.inf:
@@ -55,32 +54,22 @@ class FlowSpec:
             raise ConfigError(
                 f"flow {self.flow_id}: unknown arrival process {self.arrival_process!r}"
             )
-        if self.arrival_batches is not None and not self.arrival_batches >= 1:
-            raise ConfigError(f"flow {self.flow_id}: arrival batches must be >= 1")
 
     def check_arrivals(self, horizon: int):
-        """Reject arrival settings a frame of ``horizon`` slots cannot use:
-        a Bernoulli rate above its batch count (the horizon when unset), or a
-        batch count on a Poisson flow, which would ignore it."""
-        if self.arrival_process == "poisson":
-            if self.arrival_batches is not None:
-                raise ConfigError(
-                    f"flow {self.flow_id}: arrival batches apply only to bernoulli arrivals"
-                )
-            return
-        n = self.arrival_batches if self.arrival_batches is not None else horizon
-        if self.arrival_rate / n > 1.0:
+        """Reject a Bernoulli rate a frame of ``horizon`` slots cannot carry:
+        one trial per slot gives at most ``horizon`` arrivals a frame."""
+        if self.arrival_process == "bernoulli" and self.arrival_rate / horizon > 1.0:
             raise ConfigError(
                 f"flow {self.flow_id}: arrival rate {self.arrival_rate} exceeds "
-                f"{n} Bernoulli batches per frame"
+                f"{horizon} Bernoulli trials per frame"
             )
 
     def sample_arrivals(self, horizon: int, gen: np.random.Generator) -> int:
-        """One frame's arrivals; settings are checked once by check_arrivals."""
+        """One frame's arrivals: Poisson, or one Bernoulli trial per slot, that
+        is binomial(horizon, rate / horizon); check_arrivals checks the rate."""
         if self.arrival_process == "poisson":
             return int(gen.poisson(self.arrival_rate))
-        n = self.arrival_batches if self.arrival_batches is not None else horizon
-        return int(gen.binomial(n, self.arrival_rate / n))
+        return int(gen.binomial(horizon, self.arrival_rate / horizon))
 
 
 @dataclass(frozen=True)
@@ -88,7 +77,6 @@ class ServiceCurve:
     """Expected packets delivered to every receiver of one flow, by slot
     budget, under saturated backlog."""
 
-    flow_id: int
     values: np.ndarray  # values[s] for s = 0..horizon
 
     def __post_init__(self):
@@ -119,7 +107,7 @@ def service_curve(flow: FlowSpec, horizon: int, intra: str = "optimal") -> Servi
     the intra-flow policy given s dedicated slots. One bottom-up solve covers
     every budget 0..horizon; results are cached per (channel, horizon, intra).
     """
-    return ServiceCurve(flow_id=flow.flow_id, values=_intra_plan(flow, horizon, intra).value)
+    return ServiceCurve(_intra_plan(flow, horizon, intra).value)
 
 
 def check_rho(flows: list, rho: float, horizon: int):

@@ -248,10 +248,6 @@ class LearningPolicy(BlockPolicy):
         self.eps_hat = (weight * self.eps_hat + loss) / (weight + 1)
         self.slots_observed += 1
 
-    def decision_vector(self, horizon: int):
-        """No plan: each decision depends on the slots observed so far."""
-        return None
-
     def _plan(self, point: int) -> PolicyTable:
         """The plan solved for the estimate at grid point ``point``, that is
         point * ESTIMATE_GRID clipped to [0, 1], solved once per policy."""

@@ -14,6 +14,7 @@ import pytest
 from adaptnc import (
     ChannelModel,
     ConservativePolicy,
+    DecodingTable,
     FlowSpec,
     GreedyPolicy,
     LearningPolicy,
@@ -21,7 +22,6 @@ from adaptnc import (
     RngSpec,
     ServiceCurve,
     allocate_slots,
-    decode_prob,
     learning_run,
     monte_carlo_throughput,
     rate_region_sweep,
@@ -89,9 +89,10 @@ def test_criterion_03_structural_properties_hold_on_every_table():
                 violations.append(("single receiver always sends one", eps, n, k_cap))
             if k_cap is None:
                 for t in (1, 7, 15, 30):
+                    p = DecodingTable(channel, t).values[1:, t].tolist()
                     # single-block reward is unimodal: never rises again
                     # after it has fallen
-                    r = [kk * decode_prob(kk, t, channel) for kk in range(1, t + 1)]
+                    r = [kk * pk for kk, pk in enumerate(p, start=1)]
                     fallen = False
                     for a, b in zip(r, r[1:]):
                         if b < a - 1e-15:
@@ -103,7 +104,6 @@ def test_criterion_03_structural_properties_hold_on_every_table():
                     # wherever the gap is representable in doubles; on the
                     # saturated plateaus (values within one ulp of 1.0, or
                     # underflowed to 0.0) only ulp-level wobble is tolerated
-                    p = [decode_prob(kk, t, channel) for kk in range(1, t + 1)]
                     for a, b in zip(p, p[1:]):
                         if b >= 1.0 - 1e-9 or a <= 1e-300:
                             if b > a + 1e-12:
@@ -325,15 +325,13 @@ def test_criterion_11_allocator_matches_exhaustive_search():
         ]
         nu = np.where(gen.random(n_flows) < 0.4, 0.0, gen.random(n_flows) * 20)
         curves = []
-        for i in range(n_flows):
+        for _ in range(n_flows):
             steps = (
                 gen.choice([0.0, 0.5], size=horizon)
                 if gen.random() < 0.3
                 else gen.random(horizon)
             )
-            curves.append(
-                ServiceCurve(flow_id=i, values=np.concatenate([[0.0], np.cumsum(steps)]))
-            )
+            curves.append(ServiceCurve(np.concatenate([[0.0], np.cumsum(steps)])))
         gains = [
             (flows[i].weight / rho + float(nu[i])) * curves[i].values[: horizon + 1]
             for i in range(n_flows)

@@ -82,7 +82,6 @@ class TestConfigDefaults:
         assert fc.arrival_process == "bernoulli"
         spec = fc.to_spec()
         assert spec.channel == ChannelModel.homogeneous(0.3, 2)
-        assert spec.arrival_batches is None
 
     def test_policy_defaults(self):
         pc = PolicyConfig()
@@ -93,7 +92,7 @@ class TestConfigDefaults:
     @pytest.mark.parametrize("config, library, names", [
         (PolicyConfig, LearningPolicy, ("delta", "eps_init")),
         (PolicyConfig, make_policy, ("delta", "eps_init")),
-        (FlowConfig, FlowSpec, ("weight", "arrival_process", "arrival_batches")),
+        (FlowConfig, FlowSpec, ("weight", "arrival_process")),
         (ExperimentConfig, run_online, ("intra",)),
         (ExperimentConfig, service_curve, ("intra",)),
         (ExperimentConfig, rate_region_sweep, ("axis",)),
@@ -193,17 +192,13 @@ class TestConfigValidation:
 
         cases = [
             (dict(kind="multiflow", horizon=10, flows=flows(arrival_rate=12.0)),
-             "exceeds 10 Bernoulli batches"),
-            (dict(kind="multiflow", flows=flows(arrival_rate=4.0, arrival_batches=3)),
-             "exceeds 3 Bernoulli batches"),
-            (dict(kind="multiflow", flows=flows(arrival_process="poisson", arrival_batches=3)),
-             "only to bernoulli"),
+             "exceeds 10 Bernoulli trials"),
             (dict(kind="multiflow", flows=[{"flow_id": 0, "channel": {"receivers": 2},
                                             "arrival_rate": 1.0}]),
              "channel.erasure is required"),
             # a region sweep runs every grid value on its axis
             (dict(kind="region", horizon=6, axis="arrival_rate", grid=[1.0, 7.0], flows=flows(2)),
-             "arrival rate 7.0 exceeds 6 Bernoulli batches"),
+             "arrival rate 7.0 exceeds 6 Bernoulli trials"),
             (dict(kind="region", grid=[0.5, 1.5], flows=flows(2)), "delivery ratio"),
         ]
         for fields, needle in cases:
@@ -225,8 +220,6 @@ class TestConfigValidation:
             (dict(kind="multiflow", flows=flows(arrival_rate=-1.0)), "arrival rate must be >= 0"),
             (dict(kind="multiflow", flows=flows(arrival_process="burst")),
              "unknown arrival process"),
-            (dict(kind="multiflow", flows=flows(arrival_batches=0)),
-             "arrival batches must be >= 1"),
             # flows a command never runs still have to be valid flows
             (dict(kind="solve", channel={"receivers": 5, "erasure": 0.2},
                   flows=flows(delivery_ratio=1.5)), "delivery ratio must be in"),
@@ -491,11 +484,8 @@ class TestConfigValidation:
         "region horizon 0": dict(kind="region", horizon=0, grid=[0.5], flows=[_flow(0), _flow(1)]),
         "duplicate flow ids": dict(kind="multiflow", flows=[_flow(7), _flow(7)]),
         "duplicate template ids": dict(kind="region", grid=[0.5], flows=[_flow(7), _flow(7)]),
-        "rate above its batches": dict(kind="multiflow", horizon=10,
+        "rate above the horizon": dict(kind="multiflow", horizon=10,
                                        flows=[_flow(0, arrival_rate=12.0)]),
-        "batches on a poisson flow": dict(
-            kind="multiflow", flows=[_flow(0, arrival_process="poisson", arrival_batches=3)]
-        ),
         "bad axis": dict(kind="region", axis="weight", grid=[0.5], flows=[_flow(0), _flow(1)]),
         "one template": dict(kind="region", grid=[0.5], flows=[_flow(0)]),
         "grid value breaks a flow": dict(kind="region", horizon=6, axis="arrival_rate",
@@ -669,8 +659,7 @@ def _raw_config(draw):
             {"flow_id": st.just(flow_id) if clean else st.integers(0, 2),
              "channel": st.just(channel()), "arrival_rate": rate},
             {"delivery_ratio": rate, "weight": st.floats(0.1, 5.0) if clean else rate,
-             "arrival_process": pick(["bernoulli", "poisson"], ["burst"]),
-             "arrival_batches": count(1, 12)},
+             "arrival_process": pick(["bernoulli", "poisson"], ["burst"])},
         )
 
     policy = section({"kind": st.just("learning")} if kind == "learn" and clean else {}, {
@@ -710,12 +699,11 @@ def _raw_config(draw):
 
 
 _INT_FIELDS = {"seed", "horizon", "replications", "frames", "backlog", "t_max",
-               "receivers_max", "receivers", "flow_id", "arrival_batches"}
+               "receivers_max", "receivers", "flow_id"}
 _NUMBER_FIELDS = {"rho", "erasure", "sigma2", "delta", "eps_init", "arrival_rate",
                   "delivery_ratio", "weight"}
 _FLOAT_LIST_FIELDS = {"epsilon_grid", "grid", "erasures"}
-_OPTIONAL_FIELDS = {"channel", "backlog", "receivers", "erasure", "erasures", "sigma2",
-                    "arrival_batches"}
+_OPTIONAL_FIELDS = {"channel", "backlog", "receivers", "erasure", "erasures", "sigma2"}
 
 
 def _assert_typed(section):
@@ -1154,7 +1142,23 @@ class TestCliErrorPaths:
             encoding="utf-8",
         )
         assert cli.main(["multiflow", "--config", str(path)]) == 2
-        assert "exceeds 10 Bernoulli batches" in capsys.readouterr().err
+        assert "exceeds 10 Bernoulli trials" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind, head", [
+        ("multiflow", "horizon: 10\nframes: 5\n"),
+        ("region", "horizon: 10\nframes: 5\ngrid: [0.5]\n"),
+    ], ids=["multiflow", "region"])
+    def test_arrival_batches_is_not_a_flow_field(self, tmp_path, capsys, kind, head):
+        # Bernoulli arrivals take one trial per slot; a per-flow trial count
+        # is an unknown field, rejected before the output directory exists
+        flow = "  - {flow_id: %d, arrival_rate: 2.0, arrival_batches: 4,\n" \
+               "     channel: {erasure: 0.3, receivers: 2}}\n"
+        path = tmp_path / "batches.yaml"
+        path.write_text(f"kind: {kind}\n{head}out: {tmp_path / 'run'}\nflows:\n"
+                        + flow % 0 + flow % 1, encoding="utf-8")
+        assert cli.main([kind, "--config", str(path)]) == 2
+        assert "arrival_batches" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):

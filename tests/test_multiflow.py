@@ -34,8 +34,8 @@ def flow(i, channel=CH, lam=2.0, q=0.4, **kw):
     return FlowSpec(flow_id=i, channel=channel, arrival_rate=lam, delivery_ratio=q, **kw)
 
 
-def curve(values, flow_id=0):
-    return ServiceCurve(flow_id=flow_id, values=np.asarray(values, dtype=float))
+def curve(values):
+    return ServiceCurve(np.asarray(values, dtype=float))
 
 
 def oracle_allocation(flows, nu, rho, horizon, curves):
@@ -99,7 +99,6 @@ class TestServiceCurve:
     def test_single_receiver_curve(self):
         c = service_curve(flow(0, ChannelModel.homogeneous(0.5, 1)), 3)
         assert c.values.tolist() == [0.0, 0.5, 1.0, 1.5]
-        assert c.flow_id == 0
 
     def test_lossless_curve_is_identity(self):
         c = service_curve(flow(0, ChannelModel.homogeneous(0.0, 2)), 4)
@@ -126,7 +125,6 @@ class TestServiceCurve:
         a = service_curve(flow(0), 8)
         b = service_curve(flow(1), 8)  # different flow, same channel
         assert a.values is b.values
-        assert a.flow_id == 0 and b.flow_id == 1
         retx = service_curve(flow(0), 8, intra="retransmission")
         assert retx.values is not a.values
 
@@ -191,13 +189,13 @@ class TestAllocateSlots:
             ]
             nu = np.where(gen.random(n_flows) < 0.4, 0.0, gen.random(n_flows) * 20)
             curves = []
-            for i in range(n_flows):
+            for _ in range(n_flows):
                 if gen.random() < 0.3:
                     # quantized increments force exact value ties
                     steps = gen.choice([0.0, 0.5], size=horizon)
                 else:
                     steps = gen.random(horizon)
-                curves.append(curve(np.concatenate([[0.0], np.cumsum(steps)]), i))
+                curves.append(curve(np.concatenate([[0.0], np.cumsum(steps)])))
             got = allocate_slots(flows, nu, rho, horizon, curves)
             want = oracle_allocation(flows, nu, rho, horizon, curves)
             assert np.array_equal(got, want), (case, got, want)
@@ -229,7 +227,7 @@ class TestAllocateSlots:
                         curves.append(service_curve(f, horizon))
                     else:
                         steps = gen.choice([0.0, 0.5, 1.0], size=horizon)
-                        curves.append(curve(np.concatenate([[0.0], np.cumsum(steps)]), f.flow_id))
+                        curves.append(curve(np.concatenate([[0.0], np.cumsum(steps)])))
                 if case % 2:
                     nu = gen.integers(0, 4, n_flows).astype(float)
                 else:
@@ -266,20 +264,20 @@ class TestAllocateSlots:
 
     def test_plateau_ties_pick_fewest_slots(self):
         flows = [flow(0), flow(1)]
-        curves = [curve([0.0, 1.0, 1.0, 1.0], 0), curve([0.0, 1.0, 1.0, 1.0], 1)]
+        curves = [curve([0.0, 1.0, 1.0, 1.0]), curve([0.0, 1.0, 1.0, 1.0])]
         got = allocate_slots(flows, np.zeros(2), 0.1, 3, curves)
         assert got.tolist() == [1, 1]
 
     def test_strictly_concave_curve_splits_evenly(self):
         vals = np.sqrt(np.arange(7, dtype=float))
         flows = [flow(0), flow(1)]
-        got = allocate_slots(flows, np.zeros(2), 0.1, 6, [curve(vals, 0), curve(vals, 1)])
+        got = allocate_slots(flows, np.zeros(2), 0.1, 6, [curve(vals), curve(vals)])
         assert got.tolist() == [3, 3]
 
     def test_deficit_tilts_the_split(self):
         vals = np.sqrt(np.arange(7, dtype=float))
         flows = [flow(0), flow(1)]
-        got = allocate_slots(flows, np.array([100.0, 0.0]), 0.1, 6, [curve(vals, 0), curve(vals, 1)])
+        got = allocate_slots(flows, np.array([100.0, 0.0]), 0.1, 6, [curve(vals), curve(vals)])
         assert got.tolist() == [6, 0]
 
     def test_superadditive_curve_grants_whole_frame(self):
@@ -356,8 +354,8 @@ class TestAllocateSlots:
             horizon = int(gen.integers(0, 13))
             flows = [flow(i, weight=float(gen.choice([0.5, 1.0]))) for i in range(n_flows)]
             curves = [
-                curve(np.concatenate([[0.0], np.cumsum(gen.choice([0.0, 0.5, 1.0], horizon))]), i)
-                for i in range(n_flows)
+                curve(np.concatenate([[0.0], np.cumsum(gen.choice([0.0, 0.5, 1.0], horizon))]))
+                for _ in range(n_flows)
             ]
             nu = gen.integers(0, 3, n_flows).astype(float)
             got = allocate_slots(flows, nu, 1.0, horizon, curves)
@@ -426,40 +424,27 @@ class TestFlowSpec:
             flow(0, weight=0.0)
         with pytest.raises(ConfigError):
             flow(0, arrival_process="uniform")
-        with pytest.raises(ConfigError):
-            flow(0, arrival_batches=0)
         # every rule accepts only in-range values, so NaN never passes
         for bad in (dict(lam=np.nan), dict(lam=np.inf), dict(q=np.nan),
-                    dict(weight=np.nan), dict(weight=np.inf), dict(arrival_batches=np.nan)):
+                    dict(weight=np.nan), dict(weight=np.inf)):
             with pytest.raises(ConfigError):
                 flow(0, **bad)
 
-    def test_bernoulli_batches_default_to_horizon(self):
+    def test_bernoulli_arrivals_take_one_trial_per_slot(self):
         gen = np.random.default_rng(8)
         draws = np.array([flow(0, lam=2.0).sample_arrivals(10, gen) for _ in range(20_000)])
         assert draws.max() <= 10
         se = np.sqrt(10 * 0.2 * 0.8 / len(draws))
         assert abs(draws.mean() - 2.0) < 3 * se
 
-    def test_single_batch_is_bernoulli(self):
-        gen = np.random.default_rng(9)
-        draws = {flow(0, lam=0.6, arrival_batches=1).sample_arrivals(10, gen) for _ in range(200)}
-        assert draws <= {0, 1}
-
-    def test_rate_above_batches_rejected(self):
-        with pytest.raises(ConfigError, match="exceeds 10 Bernoulli batches"):
+    def test_rate_above_horizon_rejected(self):
+        with pytest.raises(ConfigError, match="exceeds 10 Bernoulli trials"):
             flow(0, lam=20.0).check_arrivals(10)
-        with pytest.raises(ConfigError, match="exceeds 3 Bernoulli batches"):
-            flow(0, lam=4.0, arrival_batches=3).check_arrivals(10)
         flow(0, lam=10.0).check_arrivals(10)
         flow(0, lam=20.0, arrival_process="poisson").check_arrivals(10)
         # checked once, before the first frame draws anything
         with pytest.raises(ConfigError, match="exceeds"):
             run_online([flow(0), flow(1, lam=20.0)], 5, 10, 0.1, RngSpec(1, 0))
-
-    def test_batches_on_poisson_flow_rejected(self):
-        with pytest.raises(ConfigError, match="only to bernoulli"):
-            flow(0, arrival_process="poisson", arrival_batches=4).check_arrivals(10)
 
     def test_poisson_arrivals(self):
         gen = np.random.default_rng(11)
@@ -637,8 +622,8 @@ class TestRateRegionSweep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(multiflow, "run_online", counting)
-        # cells (0, 0) and (0, 1) can run; (0, 2) asks 50 arrivals of 10 batches
-        with pytest.raises(ConfigError, match="exceeds 10 Bernoulli batches"):
+        # cells (0, 0) and (0, 1) can run; (0, 2) asks 50 arrivals of 10 trials
+        with pytest.raises(ConfigError, match="exceeds 10 Bernoulli trials"):
             rate_region_sweep(
                 [flow(0), flow(1)], [1.0, 2.0, 50.0], 10, 0.1, 200, RngSpec(1),
                 axis="arrival_rate",
@@ -663,11 +648,16 @@ class TestRateRegionSweep:
         assert multiflow.region_pairs([flow(0), flow(1)], [], "arrival_rate", 0) == []
 
     def test_region_pairs_reject_as_a_row_by_row_check_of_every_pair(self):
-        # the first flow takes up to 10 arrivals a frame, the second up to 25;
-        # every grid of up to three values from these must fail on the same
-        # flow and value as checking each pair in turn would
-        templates = [flow(0), flow(1, arrival_batches=25)]
-        for n in range(4):
+        # a Bernoulli flow takes up to 10 arrivals a frame, a Poisson flow any
+        # number: with two Bernoulli templates a bad value fails both, so the
+        # message shows which was checked first, and a Poisson template lets
+        # the other's failures show alone. Every grid of up to three values
+        # must fail on the same flow and value as checking each pair in turn
+        poisson = dict(arrival_process="poisson")
+        for templates, n in itertools.product(
+            [[flow(0), flow(1)], [flow(0), flow(1, **poisson)], [flow(0, **poisson), flow(1)]],
+            range(4),
+        ):
             for grid in itertools.product([1.0, 20.0, 30.0, 40.0], repeat=n):
                 xs, ys = ([replace(f, arrival_rate=v) for v in grid] for f in templates)
                 expected = None
@@ -682,7 +672,7 @@ class TestRateRegionSweep:
                     got = None
                 except ConfigError as exc:
                     got = str(exc)
-                assert got == expected, grid
+                assert got == expected, (templates, grid)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

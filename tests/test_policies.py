@@ -166,9 +166,6 @@ class TestDecisionVectors:
         with pytest.raises(ConfigError):
             RetransmissionPolicy(5).decision_vector(6)
 
-    def test_learning_vector_is_history_driven(self):
-        assert LearningPolicy(2, 5).decision_vector(5) is None
-
     def test_missing_table_rejected(self):
         with pytest.raises(ConfigError):
             OptimalPolicy(None)
