@@ -11,9 +11,18 @@ running erasure estimate, carried across frames until it is reset.
 ``block_rule`` is ``decide`` for many replications at once, as the batch
 engine calls it: a plan reads its plan, and the learner reads estimate paths
 computed up front, since its estimate never depends on the blocks committed.
+For fresh replications this holds whatever the backlog, as a decision after
+s slots reads only those slots. A run that carries the learner's state
+across frames also needs the slot each frame starts from, so its path is
+known up front (``run_paths``) only when every frame observes all its slots:
+with a backlog of at least the horizon, a frame ends only at its deadline.
 """
 
+from functools import partial
+from itertools import count
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelModel, check_receivers
 from .decoding import completion_second_moment, expected_completion_time
@@ -286,50 +295,85 @@ class LearningPolicy(BlockPolicy):
         """Where the estimate of a fresh run stands after s = 0..T slots of
         each replication of ``counts`` (shaped as in ``block_rule``): its
         grid point and whether the latest slot moved it by more than delta,
-        two (T + 1, replications) arrays. One slot at a time for every
+        two (replications, T + 1) arrays. One slot at a time for every
         replication at once, with the float operations of ``observe_slot``,
         so every estimate is bit for bit the one the per-frame run holds."""
         c, n, width = counts.shape
-        point = np.empty((width, c), dtype=np.int16)
-        moving = np.zeros((width, c), dtype=bool)
-        point[0] = round(self.eps_init / ESTIMATE_GRID)
+        point = np.empty((c, width), dtype=np.int16)
+        moving = np.zeros((c, width), dtype=bool)
+        point[:, 0] = round(self.eps_init / ESTIMATE_GRID)
         est = np.full(c, self.eps_init, dtype=float)
         seen = np.zeros(c, dtype=np.int64)
         for s in range(1, width):
             total = counts[:, :, s].sum(axis=1, dtype=np.int64)
             loss = 1.0 - (total - seen) / n
             new = (s * est + loss) / (s + 1)  # weight s: s - 1 slots seen before
-            np.greater(np.abs(new - est), self.delta, out=moving[s])
-            point[s] = np.rint(new / ESTIMATE_GRID)  # in 0.._GRID_POINTS - 1
+            np.greater(np.abs(new - est), self.delta, out=moving[:, s])
+            point[:, s] = np.rint(new / ESTIMATE_GRID)  # in 0.._GRID_POINTS - 1
             est, seen = new, total
         return point, moving
 
+    def run_paths(self, counts: np.ndarray):
+        """Where this policy's own estimate stands, carried on from its
+        current state, through consecutive frames of T slots, one per row of
+        ``counts`` (shaped as in ``block_rule``), each observed to its end:
+        per frame its grid points and moving flags after s = 0..T slots, as
+        ``_estimate_paths`` gives them, and the chain of estimates they are
+        read from: ``eps_hat_prev``, then the estimate after 0, 1, .. frames
+        x T slots. The chain is computed slot by slot with the float
+        operations of ``observe_slot``; frame f reads its window of T + 1
+        estimates, which starts where frame f - 1's ends. The policy's state
+        is not changed."""
+        _, n, width = counts.shape
+        self._check_receivers(n)
+        got = np.diff(counts.sum(axis=1, dtype=np.int64), axis=1).ravel().tolist()
+
+        def estimates(est):
+            yield self.eps_hat_prev
+            yield est
+            for weight, received in zip(count(self.slots_observed + 1), got):
+                est = (weight * est + (1.0 - received / n)) / (weight + 1)
+                yield est
+
+        chain = np.fromiter(estimates(self.eps_hat), dtype=float, count=len(got) + 2)
+        windows = partial(sliding_window_view, window_shape=width)
+        point = windows(np.rint(chain[1:] / ESTIMATE_GRID).astype(np.int16))[:: width - 1]
+        moving = windows(np.abs(np.diff(chain)) > self.delta)[:: width - 1]
+        return point, moving, chain
+
     def block_rule(self, horizon: int, counts: np.ndarray):
         """``decide`` for fresh runs, one per replication of ``counts``,
-        whatever this policy's own run state. With s = horizon - t slots
-        observed, a decision reads the estimate's grid point and moving flag
-        after s slots and the replication's last block, and makes the first
-        block, the ramp and the clip of ``decide``. Each plan is solved
-        through the policy's cache when a decision first needs it, so the
-        batch solves the tables the per-frame runs would.
-        """
+        whatever this policy's own run state: ``path_rule`` over their
+        estimate paths, each before its first block."""
         c, n, width = counts.shape
         self._check_receivers(n)
         point, moving = self._estimate_paths(counts)
-        plans = np.zeros((_GRID_POINTS, width), dtype=np.min_scalar_type(horizon))
+        return self.path_rule(horizon, point, moving, np.zeros(c, dtype=np.int64))
+
+    def path_rule(self, horizon: int, point, moving, last):
+        """``decide`` for rows of frames of ``horizon`` slots whose estimate
+        paths are known, as a ``block_rule``. With s = horizon - t slots of
+        row r observed, a decision reads the estimate's grid point and moving
+        flag after s slots, ``point[r, s]`` and ``moving[r, s]``, and the
+        row's last block, ``last[r]``, 0 before the first block of a run, and
+        makes the first block, the ramp and the clip of ``decide``. ``last``
+        is updated in place. Each plan is solved through the policy's cache
+        when a decision first needs it, so the batch solves the tables the
+        per-frame runs would.
+        """
+        plans = np.zeros((_GRID_POINTS, horizon + 1), dtype=np.min_scalar_type(horizon))
         solved = np.zeros(_GRID_POINTS, dtype=bool)
-        last = np.zeros(c, dtype=np.int64)  # 0 until a replication's first block
 
         def rule(active, t, m):
             s = horizon - t
-            at = point[s, active]
+            at = point[active, s]
             for p in np.unique(at[~solved[at]]).tolist():
-                plans[p] = self._plan(p).k_star[:width]
+                plans[p] = self._plan(p).k_star[: horizon + 1]
                 solved[p] = True
             planned = plans[at, t]
             prev = last[active]
             ramp = np.minimum(np.maximum(planned, prev), prev + 1)
-            k = np.where(prev == 0, 1, np.where(moving[s, active], ramp, planned))
+            k = np.where(prev == 0, 1, np.where(moving[active, s], ramp, planned))
             k = np.minimum(k, np.minimum(t, m))
             last[active] = k
             return k

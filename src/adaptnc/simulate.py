@@ -7,10 +7,14 @@ arithmetic; for the same (seed, stream) both produce the same delivered
 count, which the tests exploit. Every policy runs through the batch engine
 in ``monte_carlo_throughput``: a plan through its block sizes, and the
 learning policy through estimate paths computed up front, since its estimate
-depends only on the slots observed. The reference engine drives the runs
-that carry a policy's state across frames (``learning_run``) and the
-multi-flow loop. All channel randomness flows through RngSpec so the
-replication order never matters.
+depends only on the slots observed. ``learning_run`` carries one policy's
+state across frames; when the backlog is at least the horizon every frame
+observes all its slots, so the run's estimate path is known up front too,
+and its frames run through the batch engine, all but the few early ones
+whose first block steps up from the frame before. The reference engine
+drives those, the runs with a smaller backlog, and the multi-flow loop. All
+channel randomness flows through RngSpec so the replication order never
+matters.
 
 The batch engine first builds a reception index of each replication: per
 (slot, receiver), the receptions counted so far (``csum``) and the slot of
@@ -142,9 +146,11 @@ class ThroughputSummary:
 # the index takes 4 MiB; the block steps' int64 arrays, one entry per
 # receiver of a replication, are a few of 16 MiB / (T + 1) each, and the
 # learning policy's estimate paths take 3 bytes a (slot, replication), so
-# 6 MiB / n. The floor takes over once (T + 1) * n passes 2048, and keeps
-# the block-step loop, up to one step per slot, spread over enough
-# replications.
+# 6 MiB / n. A carried ``learning_run`` chunk also holds its estimate chain
+# and the decisions it logs, about 60 bytes a slot while it is built, so
+# 120 MiB / n: less than the records that the run returns for its frames.
+# The floor takes over once (T + 1) * n passes 2048, and keeps the
+# block-step loop, up to one step per slot, spread over enough replications.
 _CHUNK_CELLS = 2**21
 _MIN_CHUNK = 1024
 # Draw blocks: as many replications as keep a block to about this many
@@ -235,6 +241,15 @@ def _reception_index(horizon, erasures, rng, csum, slot_of):
             _index_bits(bits[:b], csum[lo : lo + b], slot_of[lo : lo + b])
 
 
+def _index_chunks(horizon, n, frames):
+    """The chunk size of the chunk rule for ``frames`` frames of ``horizon``
+    slots and ``n`` receivers, and the ``csum`` and ``slot_of`` arrays that
+    every chunk's reception index is written into."""
+    chunk = min(frames, max(_MIN_CHUNK, _CHUNK_CELLS // ((horizon + 1) * n)))
+    csum = np.zeros((chunk, n, horizon + 1), dtype=np.min_scalar_type(horizon + 1))
+    return chunk, csum, np.empty_like(csum)
+
+
 def _block_steps(rule, horizon, backlog, csum, slot_of) -> np.ndarray:
     """Delivered counts of a policy's block ``rule`` (``block_rule``) on each
     replication of a reception index.
@@ -285,10 +300,7 @@ def _batch_delivered(policy, horizon, backlog, erasures, rng, replications) -> n
     delivered = np.zeros(replications, dtype=np.int64)
     if horizon == 0 or backlog == 0:
         return delivered
-    n = len(erasures)
-    chunk = min(replications, max(_MIN_CHUNK, _CHUNK_CELLS // ((horizon + 1) * n)))
-    csum = np.zeros((chunk, n, horizon + 1), dtype=np.min_scalar_type(horizon + 1))
-    slot_of = np.empty_like(csum)
+    chunk, csum, slot_of = _index_chunks(horizon, len(erasures), replications)
     for lo in range(0, replications, chunk):
         c = min(chunk, replications - lo)
         _reception_index(horizon, erasures, rng.shifted(lo), csum[:c], slot_of[:c])
@@ -350,23 +362,79 @@ def learning_run(
     with the policy's erasure estimate after the frame, the packets
     delivered, and whether any block decision that frame was taken while the
     estimate was still moving ("ramp") or not ("stable").
+
+    Records and the policy's state afterwards are bit for bit those of
+    ``simulate_frame`` run frame after frame. With backlog >= horizon > 0
+    every frame plays to its deadline, so the run's estimate path is known
+    from the draws alone (``LearningPolicy.run_paths``), and the frames run
+    in chunks through the batch engine. Only a frame whose first decision
+    sees a moving estimate depends on the frame before it, since it steps up
+    from that frame's last block: the w-th slot moves the estimate by at
+    most 1/(w + 1), so such frames come only in the policy's first 1/delta
+    slots. They run one by one, and with them every frame before them in
+    their chunk. A smaller backlog can end a frame early, with slots
+    unobserved, so all its frames run one by one.
     """
     if frames < 1:
         raise ValueError("need at least one frame")
     if backlog is None:
         backlog = horizon
+    if horizon < 0 or backlog < 0:
+        raise ValueError("horizon and backlog must be non-negative")
+    policy.check_horizon(horizon)
     records = []
-    for k in range(frames):
-        mark = len(policy.decision_log)
-        trace = simulate_frame(policy, horizon, backlog, channel, rng.shifted(k))
-        records.append(
-            {
-                "frame": k,
-                "eps_hat": float(policy.eps_hat),
-                "delivered": trace.delivered,
-                "mode": "ramp" if any(row[2] for row in policy.decision_log[mark:]) else "stable",
-            }
-        )
+
+    def record(k, eps_hat, delivered, ramp):
+        mode = "ramp" if ramp else "stable"
+        records.append({"frame": k, "eps_hat": eps_hat, "delivered": delivered, "mode": mode})
+
+    def one_by_one(lo, hi):
+        for k in range(lo, hi):
+            mark = len(policy.decision_log)
+            trace = simulate_frame(policy, horizon, backlog, channel, rng.shifted(k))
+            ramp = any(row[2] for row in policy.decision_log[mark:])
+            record(k, float(policy.eps_hat), trace.delivered, ramp)
+
+    if not 0 < horizon <= backlog:
+        one_by_one(0, frames)
+        return records
+    chunk, csum, slot_of = _index_chunks(horizon, channel.n_receivers, frames)
+    for lo in range(0, frames, chunk):
+        c = min(chunk, frames - lo)
+        _reception_index(horizon, channel.erasures, rng.shifted(lo), csum[:c], slot_of[:c])
+        point, moving, chain = policy.run_paths(csum[:c])
+        stepped = np.flatnonzero(moving[1:, 0])  # frames 1.. whose first decision moves
+        p = int(stepped[-1]) + 2 if stepped.size else 0
+        one_by_one(lo, lo + p)
+        if p == c:
+            continue
+
+        # frame p starts from the run's last block; a later frame's first
+        # decision does not move, so its entry only has to be nonzero
+        last = np.ones(c - p, dtype=np.int64)
+        last[0] = policy.last_block or 0
+        rule = policy.path_rule(horizon, point[p:], moving[p:], last)
+        steps = []
+
+        def logged(active, t, m):
+            k = rule(active, t, m)
+            steps.append((active, t, k))
+            return k
+
+        delivered = _block_steps(logged, horizon, backlog, csum[p:c], slot_of[p:c])
+        row, t, k = (np.concatenate(parts) for parts in zip(*steps))
+        order = np.argsort(row, kind="stable")
+        row, t, k = row[order], t[order], k[order]
+        moved = moving[p:][row, horizon - t]
+        ramp = np.zeros(c - p, dtype=bool)
+        ramp[row[moved]] = True
+        policy.decision_log.extend(zip(t.tolist(), k.tolist(), moved.tolist()))
+        policy.slots_observed += (c - p) * horizon
+        policy.eps_hat_prev, policy.eps_hat = chain[-2:].tolist()
+        policy.last_block = int(last[-1])
+        ends = chain[horizon + 1 :: horizon][p:]  # the estimate after each frame
+        for args in zip(range(lo + p, lo + c), ends.tolist(), delivered.tolist(), ramp.tolist()):
+            record(*args)
     return records
 
 

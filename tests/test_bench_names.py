@@ -81,4 +81,8 @@ def test_attributes_the_workloads_read_below_package_names():
     policy = adaptnc.VarianceConstrainedPolicy(channel, 3, 5.0)
     assert isinstance(policy.k_cap, int) and isinstance(policy.table, adaptnc.PolicyTable)
     assert "keep_samples" in inspect.signature(adaptnc.monte_carlo_throughput).parameters
+    # learning_run is called with its first five arguments by position
+    assert list(inspect.signature(adaptnc.learning_run).parameters)[:5] == [
+        "policy", "frames", "horizon", "channel", "rng",
+    ]
     assert {"bellman_evals", "reward_evals"} <= set(adaptnc.solve_monotone(3, channel).stats)

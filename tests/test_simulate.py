@@ -514,20 +514,29 @@ class TestMonteCarloThroughput:
             trace = simulate_frame(fresh, horizon, backlog, ch, RngSpec(5, stream).shifted(r))
             assert summary.samples[r] == trace.delivered, r
 
-    @pytest.mark.parametrize("backlog", [0, 4])
+    @pytest.mark.parametrize("backlog", [0, 4, 5])
     def test_learning_errors_match_the_per_frame_engine(self, backlog):
-        # a frame longer than the policy's horizon fails alike in both
+        # a frame longer than the policy's horizon fails alike in the three
         # engines, whatever the backlog; a channel with another receiver
-        # count fails alike once a slot is played, and neither fails at
-        # backlog 0
+        # count fails alike once a slot is played, and none fails at backlog
+        # 0; a negative backlog fails with simulate_frame's message.
+        # learning_run batches its frames at backlog 5 and runs them one by
+        # one below it
         ch = ChannelModel.homogeneous(0.3, 2)
         engines = (
-            lambda policy, horizon: simulate_frame(policy, horizon, backlog, ch, RngSpec(4, 0)),
-            lambda policy, horizon: monte_carlo_throughput(
-                policy, horizon, backlog, ch, 3, RngSpec(4, 0)
+            lambda policy, horizon, m=backlog: simulate_frame(
+                policy, horizon, m, ch, RngSpec(4, 0)
+            ),
+            lambda policy, horizon, m=backlog: monte_carlo_throughput(
+                policy, horizon, m, ch, 3, RngSpec(4, 0)
+            ),
+            lambda policy, horizon, m=backlog: learning_run(
+                policy, 3, horizon, ch, RngSpec(4, 0), m
             ),
         )
         for run in engines:
+            with pytest.raises(ValueError, match="^horizon and backlog must be non-negative$"):
+                run(LearningPolicy(2, 5), 5, -1)
             with pytest.raises(ConfigError, match="^learning plan built to horizon 5, frame needs 6$"):
                 run(LearningPolicy(2, 5), 6)
             if backlog:
@@ -539,7 +548,104 @@ class TestMonteCarloThroughput:
                 run(LearningPolicy(3, 5), 5)
 
 
+def _learning_run_frame_by_frame(policy, frames, horizon, channel, rng, backlog):
+    """``learning_run`` as a loop of ``simulate_frame`` calls on one policy."""
+    records = []
+    for k in range(frames):
+        mark = len(policy.decision_log)
+        trace = simulate_frame(policy, horizon, backlog, channel, rng.shifted(k))
+        ramp = any(row[2] for row in policy.decision_log[mark:])
+        records.append({
+            "frame": k, "eps_hat": float(policy.eps_hat), "delivered": trace.delivered,
+            "mode": "ramp" if ramp else "stable",
+        })
+    return records
+
+
+def _learning_state(policy):
+    return (policy.eps_hat, policy.eps_hat_prev, policy.slots_observed, policy.last_block,
+            policy.decision_log)
+
+
 class TestLearningRun:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        horizon=st.integers(0, 20),
+        rates=st.one_of(
+            st.tuples(st.sampled_from([0.0, 0.1, 0.35, 0.7, 1.0]), st.integers(1, 6)).map(
+                lambda pair: (pair[0],) * pair[1]
+            ),
+            st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.55, 0.9, 1.0]), min_size=1, max_size=6).map(
+                tuple
+            ),
+        ),
+        backlog_shift=st.integers(-4, 3),
+        delta=st.sampled_from([0.0, 1e-3, 0.05, 1.0]),
+        eps_init=st.sampled_from([0.0, 0.5, 1.0]),
+        frames=st.lists(st.integers(1, 40), min_size=2, max_size=2),
+        rows=st.integers(1, 30),
+        stream=st.integers(0, 2**40),
+    )
+    def test_batched_run_replays_the_frame_by_frame_run(
+        self, horizon, rates, backlog_shift, delta, eps_init, frames, rows, stream
+    ):
+        # two runs on one policy, the second carrying the first's state, in
+        # chunks of ``rows`` frames so that chunk edges fall inside the runs;
+        # records, their types and the policy's state must be those of the
+        # frame-by-frame run, whether the backlog lets frames batch or not
+        from adaptnc import simulate
+
+        backlog = max(0, horizon + backlog_shift)
+        ch = ChannelModel(rates)
+        n = len(rates)
+        batched = LearningPolicy(n, horizon, delta, eps_init)
+        reference = LearningPolicy(n, horizon, delta, eps_init)
+        for run, count in enumerate(frames):
+            rng = RngSpec(9, stream).shifted(1000 * run)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simulate, "_MIN_CHUNK", 1)
+                patch.setattr(simulate, "_CHUNK_CELLS", rows * (horizon + 1) * n)
+                records = learning_run(batched, count, horizon, ch, rng, backlog)
+            expected = _learning_run_frame_by_frame(reference, count, horizon, ch, rng, backlog)
+            assert repr(records) == repr(expected), run
+            assert repr(_learning_state(batched)) == repr(_learning_state(reference)), run
+
+    @pytest.mark.parametrize(
+        "horizon, erasure, receivers, eps_init, one_by_one",
+        [
+            # no erasures and a guess of 1: the estimate after s slots is
+            # 1/(s + 1), so the slot before frame 1 moves it by 1/12 and the
+            # one before frame 2 by 1/42
+            (3, 0.0, 1, 1.0, 2),
+            # the benchmark's run: the estimate starts where the channel is
+            (10, 0.35, 10, 0.5, 0),
+        ],
+    )
+    def test_frames_after_the_warm_up_run_in_one_batch(
+        self, monkeypatch, horizon, erasure, receivers, eps_init, one_by_one
+    ):
+        # with delta 0.05 only the first frames can see a moving estimate at
+        # their first decision; they run one by one, the rest in one batch
+        from adaptnc import simulate
+
+        calls = {"frames": 0, "batches": []}
+        block_steps, frame = simulate._block_steps, simulate.simulate_frame
+
+        def count_batch(rule, horizon, backlog, csum, slot_of):
+            calls["batches"].append(len(csum))
+            return block_steps(rule, horizon, backlog, csum, slot_of)
+
+        def count_frame(*args):
+            calls["frames"] += 1
+            return frame(*args)
+
+        monkeypatch.setattr(simulate, "_block_steps", count_batch)
+        monkeypatch.setattr(simulate, "simulate_frame", count_frame)
+        ch = ChannelModel.homogeneous(erasure, receivers)
+        policy = LearningPolicy(receivers, horizon, 0.05, eps_init)
+        learning_run(policy, 300, horizon, ch, RngSpec(3, 0))
+        assert calls == {"frames": one_by_one, "batches": [300 - one_by_one]}
+
     def test_records_and_modes(self):
         ch = ChannelModel.homogeneous(0.3, 4)
         policy = LearningPolicy(n_receivers=4, horizon=6, delta=0.05, eps_init=0.5)
