@@ -8,13 +8,17 @@ everything else here (decode tables, completion distributions, moments)
 derives from it.
 
 One kernel, ``_receiver_tails``, computes that probability for one receiver
-over every slot count up to a horizon, one block size at a time. It sums the
-negative-binomial terms C(tau-1, K-1) * e**(tau-K) * (1-e)**K of the K-th
-reception landing in slot tau, each built in log space from a cached
-log-factorial table, so no term underflows before it is truly negligible and
-blocks in the thousands stay exact to rounding. Receivers are independent,
-so a channel's probability is the product of its receivers' probabilities,
-one power per distinct rate.
+over every slot count up to a horizon, for a band of consecutive block
+sizes in one vectorised pass. It sums the negative-binomial terms
+C(tau-1, K-1) * e**(tau-K) * (1-e)**K of the K-th reception landing in slot
+tau, each built in log space from a cached log-factorial table, so no term
+underflows before it is truly negligible and blocks in the thousands stay
+exact to rounding. Receivers are independent, so a channel's probability is
+the product of its receivers' probabilities, one power per distinct rate
+(``_channel_tails``). Each row goes through the same float operations
+whatever band it is built in, so a band's rows are the one-row band's bit
+for bit; the planner, ``DecodingTable`` and the moment series all read the
+kernel through bands.
 """
 
 import math
@@ -33,6 +37,13 @@ _MAX_SERIES_SLOTS = 5_000_000
 # The moment sums stop once a shortfall term drops below this.
 _SERIES_TOL = 1e-9
 
+# Decode rows are built in bands of about this many (row, slot) cells: a
+# band of short rows pays the kernel's per-call overhead (about 15 us) once
+# for many blocks. From T = 1024 on a band is one row, as before bands: the
+# planner reads rows there one or two at a time, a row's own work is tens of
+# microseconds, and a longer band holds rows beside the window it serves.
+_BAND_CELLS = 2**11
+
 # log(m!) for m = 0 .. size-1, grown on demand by _log_factorials
 _log_factorial = np.zeros(1)
 
@@ -47,67 +58,100 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def _receiver_tails(slots: int, erasure: float):
-    """One receiver's decode tails over slots 0 .. slots, as ``tail(block)``.
+def _band_rows(slots: int) -> int:
+    """Rows in a band of decode rows over slots 0 .. slots: about
+    _BAND_CELLS cells, and at least one row."""
+    return max(1, _BAND_CELLS // (slots + 1))
 
-    ``tail(block)`` returns a new array whose entry t is P(the receiver holds
-    ``block`` packets after t slots): the cumulative sum, over
-    tau = block .. t, of C(tau-1, block-1) * erasure**(tau-block) *
-    (1-erasure)**block. The terms that do not depend on the block, the
-    log-factorials and tau * log(erasure), are formed once; each block's log
-    terms are built in one reused buffer.
+
+def _receiver_tails(slots: int, erasure: float):
+    """One receiver's decode tails up to ``slots``, as ``tails(first, rows)``.
+
+    ``tails(first, rows)``, for 1 <= first and first + rows - 1 <= slots,
+    returns a new (rows, slots - first + 1) array whose row r holds the tail
+    of block k = first + r from slot k on: entry j is P(the receiver holds k
+    packets after k + j slots), the cumulative sum, over tau = k .. k + j,
+    of C(tau-1, k-1) * erasure**(tau-k) * (1-erasure)**k. The last r entries
+    of row r run past ``slots``; they are further terms of the same sum. The
+    terms' parts, the log-factorials, (tau - k) * log(erasure) and
+    k * log(1 - erasure), are formed once, and each block's terms go
+    through the same float operations in the same order whatever the band,
+    so a row is the same bit for bit in any band.
     """
     if 0.0 < erasure < 1.0:
-        lf = _log_factorials(slots)
         lost = np.arange(slots + 1) * math.log(erasure)
-        log_kept = math.log1p(-erasure)
-        buf = np.empty(slots + 1)
+        kept = np.arange(slots + 1) * math.log1p(-erasure)
 
-    def tail(block: int) -> np.ndarray:
-        out = np.zeros(slots + 1)
-        if block == 0:
-            out[:] = 1.0
-        elif block <= slots and erasure == 0.0:
-            out[block:] = 1.0
-        elif block <= slots and erasure < 1.0:
-            n = slots - block + 1
-            terms = buf[:n]
-            np.subtract(lf[block - 1 : slots], lf[block - 1], out=terms)
-            np.subtract(terms, lf[:n], out=terms)
-            np.add(terms, lost[:n], out=terms)
-            np.add(terms, block * log_kept, out=terms)
-            np.exp(terms, out=terms)
-            np.cumsum(terms, out=terms)
-            np.minimum(terms, 1.0, out=out[block:])
-        return out
+    def tails(first: int, rows: int) -> np.ndarray:
+        n = slots - first + 1
+        if erasure == 0.0:
+            return np.ones((rows, n))
+        if erasure >= 1.0:
+            return np.zeros((rows, n))
+        lf = _log_factorials(slots + rows)
+        # windows[r, j] = lf[first - 1 + r + j], the log-factorial of tau - 1
+        windows = np.ndarray((rows, n), buffer=lf, offset=(first - 1) * lf.itemsize,
+                             strides=(lf.itemsize, lf.itemsize))
+        terms = windows - lf[first - 1 : first - 1 + rows, None]
+        terms -= lf[:n]
+        terms += lost[:n]
+        terms += kept[first : first + rows, None]
+        np.exp(terms, out=terms)
+        np.add.accumulate(terms, axis=1, out=terms)
+        np.minimum(terms, 1.0, out=terms)
+        return terms
 
-    return tail
+    return tails
 
 
 def _channel_tails(slots: int, rates):
-    """A channel's decode tails over slots 0 .. slots, as ``tail(block)``.
+    """A channel's decode tails over slots 0 .. slots, as ``band(first, count)``.
 
-    ``tail(block)`` returns a new array whose entry t is P(every receiver
-    holds ``block`` packets after t slots). ``rates`` holds the channel's
-    (erasure, receiver count) pairs. A factor below 2**(-1100 / count) has a
-    power below 2**-1100, which rounds to exactly 0 (the smallest subnormal
-    is 2**-1074). Such factors also send libm's ``pow`` down its slow path,
-    so they are zeroed without calling it; one receiver's tail never
-    decreases in t, so they form a prefix.
+    ``band(first, count)`` returns a new (count, slots + 1) array whose row r
+    is P(every receiver holds first + r packets after t slots), t = 0 ..
+    slots; rows past ``slots`` are 0. ``rates`` holds the channel's
+    (erasure, receiver count) pairs. Each rate's rows come from one
+    ``_receiver_tails`` rectangle, raised to the rate's receiver count, and
+    the product over rates is formed in place, row k from column k on,
+    through a view whose row stride is one longer than the band's, so a
+    row's entries past ``slots`` land in padding the returned view leaves
+    out. A factor below 2**(-1100 / count) has a power below 2**-1100,
+    which rounds to exactly 0 (the smallest subnormal is 2**-1074). Such
+    factors also send libm's ``pow`` down its slow path, so they are left
+    at 0 without calling it.
     """
     parts = [(_receiver_tails(slots, eps), count) for eps, count in rates]
 
-    def tail(block: int) -> np.ndarray:
-        out = np.ones(slots + 1)
-        for receiver, count in parts:
-            part = receiver(block)
-            cut = np.searchsorted(part, 2.0 ** (-1100 / count))
-            part[:cut] = 0.0
-            part[cut:] **= count
-            out *= part
-        return out
+    def band(first: int, count: int) -> np.ndarray:
+        skip = 1 if first == 0 else 0  # block 0 is decoded at once
+        k0 = first + skip
+        rows = min(count - skip, slots + 1 - k0)
+        width = slots + max(rows, 1)
+        out = np.zeros((count, width))
+        if skip:
+            out[0] = 1.0
+        if rows > 0:
+            # the band's rows from their own block on: row r of ``rows``
+            # starts at out[skip + r, k0 + r]
+            placed = np.ndarray(
+                (rows, slots + 1 - k0), buffer=out, offset=(skip * width + k0) * out.itemsize,
+                strides=((width + 1) * out.itemsize, out.itemsize),
+            )
+            # the first rate's factor is written in place, the others
+            # multiply into it
+            for i, (tails, power) in enumerate(parts):
+                part = tails(k0, rows)
+                if power > 1:
+                    factor = placed if i == 0 else np.zeros(part.shape)
+                    np.power(part, power, out=factor, where=part >= 2.0 ** (-1100 / power))
+                    part = factor
+                if i > 0:
+                    placed *= part
+                elif part is not placed:
+                    placed[...] = part
+        return out[:, : slots + 1]
 
-    return tail
+    return band
 
 
 class DecodingTable:
@@ -117,18 +161,21 @@ class DecodingTable:
     a k-packet block within t slots, for 0 <= k, t <= horizon, with
     values[0, :] = 1 and values[k, t] = 0 for k > t; it is frozen after
     construction. The probability that a block of k packets completes exactly
-    at slot t is values[k, t] - values[k, t-1]. The solver does not build
-    this table: it builds the rows it reads with the same kernel.
+    at slot t is values[k, t] - values[k, t-1]. The table is built a band of
+    rows at a time, so it holds one band's work arrays beside it. The solver
+    does not build this table: it builds the rows it reads with the same
+    kernel.
     """
 
     @np.errstate(over="raise", divide="raise", invalid="raise")
     def __init__(self, channel: ChannelModel, horizon: int):
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        row = _channel_tails(horizon, Counter(channel.erasures).items())
+        band = _channel_tails(horizon, Counter(channel.erasures).items())
+        size = _band_rows(horizon)
         values = np.empty((horizon + 1, horizon + 1))
-        for k in range(horizon + 1):
-            values[k] = row(k)
+        for first in range(0, horizon + 1, size):
+            values[first : first + size] = band(first, min(size, horizon + 1 - first))
         values.flags.writeable = False
         self.values = values
 
@@ -153,7 +200,7 @@ def _shortfall_series(block: int, channel: ChannelModel, weighted: bool) -> floa
     window = 64 + block
     while True:
         t = np.arange(block, block + window + 1)
-        tails = np.array([_receiver_tails(block + window, e)(block)[block:] for e in rates])
+        tails = np.concatenate([_receiver_tails(block + window, e)(block, 1) for e in rates])
         short = 1.0 - np.prod(tails ** counts[:, None], axis=0)
         terms = (2 * t + 1) * short if weighted else short
         ratio = eps * (t + 1) / (t + 2 - block)

@@ -58,7 +58,7 @@ class BlockPolicy:
     the policy is built, so the per-frame engine (``decide``) and the batch
     engine (``block_rule``) read one vector; ``horizon`` is the longest
     frame it plans for. The learning policy, which has no plan, is the only
-    one to override them.
+    one to override them; its ``decision_vector`` raises.
     """
 
     name = "base"
@@ -246,6 +246,13 @@ class LearningPolicy(BlockPolicy):
                 f"learning policy plans for {self.n_receivers} receivers, "
                 f"the channel has {n_receivers}"
             )
+
+    def decision_vector(self, horizon: int):
+        """The learner has no fixed plan to read: its blocks follow its
+        running estimate."""
+        raise ConfigError(
+            f"the {self.name} policy has no fixed plan: its block sizes follow its erasure estimate"
+        )
 
     def observe_slot(self, received: int, n_receivers: int):
         self._check_receivers(n_receivers)

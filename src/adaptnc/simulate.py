@@ -372,8 +372,10 @@ def learning_run(
     from that frame's last block: the w-th slot moves the estimate by at
     most 1/(w + 1), so such frames come only in the policy's first 1/delta
     slots. They run one by one, and with them every frame before them in
-    their chunk. A smaller backlog can end a frame early, with slots
-    unobserved, so all its frames run one by one.
+    their chunk; a chunk whose last frame may still be one of them, as every
+    chunk is at delta = 0, runs one by one before any draw. A smaller
+    backlog can end a frame early, with slots unobserved, so all its frames
+    run one by one.
     """
     if frames < 1:
         raise ValueError("need at least one frame")
@@ -401,6 +403,13 @@ def learning_run(
     chunk, csum, slot_of = _index_chunks(horizon, channel.n_receivers, frames)
     for lo in range(0, frames, chunk):
         c = min(chunk, frames - lo)
+        # the chunk's last frame starts after slot w, which moved the
+        # estimate by at most 1 / (w + 1), up to rounding; if that can still
+        # pass delta (always at delta = 0), no frame of the chunk is batched
+        w = policy.slots_observed + (c - 1) * horizon
+        if c > 1 and 1.0 / (w + 1) + 1e-12 > policy.delta:
+            one_by_one(lo, lo + c)
+            continue
         _reception_index(horizon, channel.erasures, rng.shifted(lo), csum[:c], slot_of[:c])
         point, moving, chain = policy.run_paths(csum[:c])
         stepped = np.flatnonzero(moving[1:, 0])  # frames 1.. whose first decision moves

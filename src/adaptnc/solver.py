@@ -14,11 +14,15 @@ greedy choice). On heterogeneous erasures the optimum can shrink, and the
 windowed table then falls short at long horizons: on erasures (0.274, 0.525)
 at T = 200 it differs from t = 198 on (ROADMAP item 1).
 
-Both run one loop over decode rows built on demand, one row per block size.
-The windowed solve reads at state t only the rows between the previous
-state's optimum and the greedy block, and deletes the rows below that band,
-so it holds O(T * window) floats where a dense decode table holds (T + 1)**2.
-A per-state cap that falls below the band rebuilds the one row it reads.
+Both run one loop over decode rows, one row per block size, built when
+first read: a missing row is built with the rows just above it, a band of
+about ``decoding._BAND_CELLS`` cells in one pass of the kernel (every row up
+to T = 44, six rows at T = 300, one from T = 1024 on). The windowed solve
+reads at state t only the rows between the previous state's optimum and the
+greedy block, and drops a band once all its rows lie below that window, so
+it holds O(T * window) floats where a dense decode table holds (T + 1)**2.
+A per-state cap that falls below the window rebuilds the band from the row
+it reads.
 
 The greedy block, the smallest maximizer of the single-shot reward
 k * P(k, t) over the blocks the state allows, is found by stepping up from
@@ -48,8 +52,9 @@ to about T = 4000 at the worst rates seen.
 
 After each state the solve keeps the rows a later state reads first: from
 the state's optimum up to the last block the window evaluated, and the
-greedy scan's rows from g up. The rows between those two bands, skipped by
-the ceiling stop, go, so a single receiver holds three rows and not every
+greedy scan's rows from g up. A band whose rows all lie between those two
+ranges, skipped by the ceiling stop, goes, so a single receiver holds the
+band of its one-packet row and the greedy scan's band or two, not every
 row up to the greedy block.
 """
 
@@ -60,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .decoding import _channel_tails
+from .decoding import _band_rows, _channel_tails
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,8 @@ class PolicyTable:
     ``stats`` counts the work done, for the complexity checks:
     ``bellman_evals`` the Bellman evaluations actually made (the windowed
     scan stops early at the ceiling), ``reward_evals`` the single-shot
-    rewards the upward greedy scan read.
+    rewards the upward greedy scan read, ``rows_built`` the decode rows
+    computed, rebuilds included.
     """
 
     k_star: np.ndarray
@@ -86,121 +92,131 @@ class PolicyTable:
             arr.flags.writeable = False
 
 
-def _cap_vector(k_cap, horizon: int):
-    """Normalize a scalar or per-state cap to an int vector, or None."""
-    if k_cap is None:
-        return None
-    caps = np.asarray(k_cap, dtype=int)
-    if caps.ndim == 0:
-        caps = np.full(horizon + 1, int(caps))
-    if caps.shape != (horizon + 1,):
-        raise ValueError(f"cap vector must have length {horizon + 1}")
-    return caps
-
-
-def _state_bound(t: int, caps) -> int:
-    """Largest block size considered at state t; at least one packet is
-    always allowed so a capped frame still transmits."""
-    bound = t if caps is None else min(t, int(caps[t]))
-    return max(1, bound)
+def _state_bounds(k_cap, horizon: int) -> list:
+    """The largest block size considered at each state 0..horizon, from a
+    scalar or per-state cap or none. At least one packet is always allowed,
+    so a capped frame still transmits."""
+    bounds = np.arange(horizon + 1)
+    if k_cap is not None:
+        caps = np.asarray(k_cap, dtype=int)
+        if caps.ndim and caps.shape != (horizon + 1,):
+            raise ValueError(f"cap vector must have length {horizon + 1}")
+        bounds = np.minimum(bounds, caps)
+    return np.maximum(bounds, 1).tolist()
 
 
 class _Rows(dict):
-    """Decode rows of one channel up to a horizon, built on first read.
+    """Decode rows of one channel up to a horizon, built a band at a time.
 
     ``rows[k]`` is (tail, pmf): tail[t] is the probability that a block of k
     packets completes within t slots, pmf[j] that it completes exactly at
-    slot j. A row the solve deletes is built again if it is read again.
+    slot j. Reading a missing row k builds the band of rows k, k + 1, .. in
+    one pass of the kernel: ``size`` rows at most, none past ``limit`` (the
+    largest block any state reads) and none that is already present.
+    ``bands`` maps each band's first row to the row after its last, and
+    ``drop`` deletes a band; a deleted row is built again, bit for bit, if it
+    is read again. ``built`` counts the rows computed.
     """
 
-    def __init__(self, channel: ChannelModel, horizon: int):
+    def __init__(self, channel: ChannelModel, horizon: int, limit: int):
         super().__init__()
         self.build = _channel_tails(horizon, Counter(channel.erasures).items())
+        self.size = _band_rows(horizon)
+        self.limit = limit
+        self.bands = {}
+        self.built = 0
 
     def __missing__(self, k: int):
-        tail = self.build(k)
+        end = min(k + self.size, self.limit + 1)
+        stop = k + 1
+        while stop < end and stop not in self:
+            stop += 1
+        tail = self.build(k, stop - k)
         pmf = np.empty_like(tail)
-        pmf[0] = tail[0]
-        np.subtract(tail[1:], tail[:-1], out=pmf[1:])
-        self[k] = tail, pmf
-        return tail, pmf
+        pmf[:, 0] = tail[:, 0]
+        np.subtract(tail[:, 1:], tail[:, :-1], out=pmf[:, 1:])
+        self.update(zip(range(k, stop), zip(tail, pmf)))
+        self.bands[k] = stop
+        self.built += stop - k
+        return self[k]
 
-
-def _bellman_value(rows: _Rows, down: np.ndarray, t: int, k: int) -> float:
-    """Expected packets from state t when committing k packets now: the
-    immediate reward plus the value of the slots typically left over.
-
-    ``down`` holds the values of states t, t-1, .., 0, so ``down[j]`` is
-    what is left when the block completes exactly at slot j.
-    """
-    tail, pmf = rows[k]
-    return k * float(tail[t]) + float(np.dot(pmf[k : t + 1], down[k:]))
+    def drop(self, first: int):
+        for j in range(first, self.bands.pop(first)):
+            del self[j]
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def _solve(channel: ChannelModel, horizon: int, k_cap, windowed: bool) -> PolicyTable:
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    caps = _cap_vector(k_cap, horizon)
-    rows = _Rows(channel, horizon)
-    value = np.zeros(horizon + 1)
-    # back[horizon - s] = value[s], so the values of states t down to 0 are
-    # the contiguous tail back[horizon - t:] and need no reversed copy
+    bounds = _state_bounds(k_cap, horizon)
+    # no row above the largest bound is read, so none is built
+    rows = _Rows(channel, horizon, max(bounds[1:], default=1))
+    # back[horizon - s] is the value of state s, so the values of states t
+    # down to 0 are the contiguous tail back[horizon - t:] and need no
+    # reversed copy
     back = np.zeros(horizon + 1)
-    k_star = np.zeros(horizon + 1, dtype=int)
-    k_greedy = np.zeros(horizon + 1, dtype=int)
-    stats = {"bellman_evals": 0, "reward_evals": 0}
+    k_star = [0]
+    k_greedy = [0]
+    bellman_evals = reward_evals = 0
     top = 1.0 - channel.worst_erasure()
     g = 1  # where the greedy scan starts: never above the uncapped greedy block
+    dot = np.dot
 
     for t in range(1, horizon + 1):
-        bound = _state_bound(t, caps)
+        bound = bounds[t]
 
-        reward = g * float(rows[g][0][t])
+        reward = g * rows[g][0].item(t)
         probes = 1
         while g < bound:
-            up = (g + 1) * float(rows[g + 1][0][t])
+            up = (g + 1) * rows[g + 1][0].item(t)
             probes += 1
             if up <= reward:
                 break
             g, reward = g + 1, up
-        stats["reward_evals"] += probes
-        k_greedy[t] = min(g, bound)
+        reward_evals += probes
+        greedy = min(g, bound)
+        k_greedy.append(greedy)
 
         if windowed:
-            lo = max(1, int(k_star[t - 1]))
-            hi = int(k_greedy[t])
-            if lo > hi:
-                lo = hi
+            lo, hi = min(max(1, k_star[-1]), greedy), greedy
             ceiling = top * t - 5e-13 * (1.0 + top * t)
         else:
             lo, hi = 1, bound
             ceiling = math.inf
 
+        # the Bellman value of committing k packets: the immediate reward
+        # plus the value of the slots left, where down[j] is the value of
+        # the state reached when the block completes exactly at slot j
         down = back[horizon - t :]
         k = best_k = lo
-        best_w = _bellman_value(rows, down, t, lo)
+        tail, pmf = rows[lo]
+        best_w = lo * tail.item(t) + float(dot(pmf[lo : t + 1], down[lo:]))
         while k < hi and best_w < ceiling:
             k += 1
-            w = _bellman_value(rows, down, t, k)
+            tail, pmf = rows[k]
+            w = k * tail.item(t) + float(dot(pmf[k : t + 1], down[k:]))
             # strictly better only beyond float noise: candidate values can
             # differ by less than one ulp of the value scale (e.g. two block
             # sizes whose outcomes differ only on near-impossible slot
             # patterns), and such ties must resolve to the smaller block
             if w > best_w + 1e-12 * (1.0 + abs(best_w)):
                 best_w, best_k = w, k
-        stats["bellman_evals"] += k - lo + 1
-        value[t] = back[horizon - t] = best_w
-        k_star[t] = best_k
+        bellman_evals += k - lo + 1
+        back[horizon - t] = best_w
+        k_star.append(best_k)
 
         if windowed:
             # later states read first the window's rows from k_star[t] up and
-            # the greedy scan's from g up (best_k <= k <= g); a row dropped
-            # here is rebuilt, bit for bit, if a later state reads it
-            for j in [j for j in rows if j < best_k or k < j < g]:
-                del rows[j]
+            # the greedy scan's from g up (best_k <= k <= g): a band goes once
+            # all its rows lie below best_k or strictly between k and g
+            for first in [f for f, end in rows.bands.items() if end <= best_k or k < f and end <= g]:
+                rows.drop(first)
 
-    return PolicyTable(k_star=k_star, k_greedy=k_greedy, value=value, stats=stats)
+    stats = {"bellman_evals": bellman_evals, "reward_evals": reward_evals, "rows_built": rows.built}
+    return PolicyTable(
+        k_star=np.array(k_star), k_greedy=np.array(k_greedy), value=back[::-1].copy(), stats=stats
+    )
 
 
 def solve_bruteforce(horizon: int, channel: ChannelModel, k_cap=None) -> PolicyTable:

@@ -27,7 +27,7 @@ from adaptnc import (
     expected_completion_time,
     solve_monotone,
 )
-from adaptnc.decoding import _channel_tails, _log_factorials, _receiver_tails
+from adaptnc.decoding import _channel_tails, _log_factorials
 
 
 def completion_pmf(table: DecodingTable) -> np.ndarray:
@@ -113,7 +113,7 @@ def decode_prob(block: int, slots: int, channel: ChannelModel) -> float:
     """P(block, slots), DecodingTable(channel, slots).values[block, slots],
     read from the package's kernel without building the whole table, so
     cases such as (1200, 3000) stay cheap."""
-    return float(_channel_tails(slots, Counter(channel.erasures).items())(block)[slots])
+    return float(_channel_tails(slots, Counter(channel.erasures).items())(block, 1)[0, slots])
 
 
 def decode_prob_single(block: int, slots: int, erasure: float) -> float:
@@ -363,13 +363,42 @@ class TestDecodingTable:
 
     @pytest.mark.parametrize("slots", [300, 1000, 2000])
     def test_reused_kernel_terms_change_no_bit(self, slots):
-        # the kernel forms the block-independent terms once per rate and each
-        # row's log terms in one reused buffer; every row must still equal the
+        # the kernel forms the block-independent terms once per rate and a
+        # band's log terms in one rectangle, skewed into place; every row of
+        # every band, blocks past the slots included, must still equal the
         # plain kernel's bytes
         for eps in (0.0, 1e-6, 0.3, 0.85, 1.0):
-            tail = _receiver_tails(slots, eps)
-            for k in range(slots + 2):
-                assert tail(k).tobytes() == plain_decode_tail(k, slots, eps).tobytes(), (eps, k)
+            band = _channel_tails(slots, [(eps, 1)])
+            for first in range(0, slots + 2, 61):
+                for k, row in enumerate(band(first, 61), start=first):
+                    assert row.tobytes() == plain_decode_tail(k, slots, eps).tobytes(), (eps, k)
+
+
+_RATES = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 1.0, 1e-6, 0.999]), st.floats(0.0, 1.0, allow_nan=False)),
+        st.integers(1, 6),
+    ),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda rate: rate[0],
+)
+
+
+class TestBands:
+    @given(slots=st.integers(0, 150), rates=_RATES, first=st.integers(0, 160), count=st.integers(1, 40))
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    def test_band_rows_equal_one_row_bands(self, slots, rates, first, count):
+        # a row is the same bit for bit whatever band it is built in, blocks
+        # past the slots (all 0) included
+        band = _channel_tails(slots, rates)
+        rows = band(first, count)
+        assert rows.shape == (count, slots + 1)
+        for r in range(count):
+            alone = band(first + r, 1)
+            assert rows[r].tobytes() == alone[0].tobytes(), (first + r)
+            if first + r > slots:
+                assert not rows[r].any()
 
 
 class TestCompletionPmf:

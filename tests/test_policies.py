@@ -170,6 +170,10 @@ class TestDecisionVectors:
         with pytest.raises(ConfigError):
             OptimalPolicy(None)
 
+    def test_learner_has_no_fixed_plan(self):
+        with pytest.raises(ConfigError, match="learning policy has no fixed plan"):
+            LearningPolicy(2, 5).decision_vector(5)
+
 
 class TestLearnerState:
     """The learning policy's running erasure estimate, fed by observe_slot."""

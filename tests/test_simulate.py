@@ -646,6 +646,22 @@ class TestLearningRun:
         learning_run(policy, 300, horizon, ch, RngSpec(3, 0))
         assert calls == {"frames": one_by_one, "batches": [300 - one_by_one]}
 
+    def test_zero_delta_draws_no_reception_index(self, monkeypatch):
+        # at delta 0 any move of the estimate is a ramp, so every frame may
+        # step up from the one before: no chunk is batched, and none draws
+        # an index it would not read
+        from adaptnc import simulate
+
+        def no_index(*args):
+            raise AssertionError("reception index drawn")
+
+        ch = ChannelModel.homogeneous(0.3, 10)
+        expected = _learning_run_frame_by_frame(
+            LearningPolicy(10, 10, 0.0), 300, 10, ch, RngSpec(5, 0), 10
+        )
+        monkeypatch.setattr(simulate, "_reception_index", no_index)
+        assert learning_run(LearningPolicy(10, 10, 0.0), 300, 10, ch, RngSpec(5, 0)) == expected
+
     def test_records_and_modes(self):
         ch = ChannelModel.homogeneous(0.3, 4)
         policy = LearningPolicy(n_receivers=4, horizon=6, delta=0.05, eps_init=0.5)

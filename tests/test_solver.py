@@ -2,13 +2,17 @@
 windowed solver against exhaustive search, structural monotonicity, the
 greedy/conservative baselines, and the retransmission threshold."""
 
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adaptnc import decoding
 from adaptnc import (
     ChannelModel,
     ConservativePolicy,
@@ -255,6 +259,55 @@ class TestOracleEquivalence:
             solve_monotone(25, ch).stats["bellman_evals"]
             < solve_bruteforce(25, ch).stats["bellman_evals"]
         )
+
+
+class TestBandedRows:
+    @given(
+        horizon=st.integers(0, 120),
+        erasures=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_nan=False)),
+            min_size=1,
+            max_size=5,
+        ),
+        cap=st.one_of(st.none(), st.integers(0, 15), st.lists(st.integers(0, 15), min_size=121, max_size=121)),
+        band=st.integers(1, 5),
+        windowed=st.booleans(),
+    )
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    def test_small_bands_change_no_bit(self, horizon, erasures, cap, band, windowed):
+        # bands of 1-5 rows start, stop, drop and rebuild at other blocks
+        # than the default bands; every table must stay the same bit for bit
+        solve = solve_monotone if windowed else solve_bruteforce
+        if isinstance(cap, list):
+            cap = np.array(cap[: horizon + 1])
+        ch = ChannelModel(erasures=tuple(erasures))
+        default = solve(horizon, ch, k_cap=cap)
+        values = DecodingTable(ch, horizon).values
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decoding, "_BAND_CELLS", band * (horizon + 1))
+            small = solve(horizon, ch, k_cap=cap)
+            small_values = DecodingTable(ch, horizon).values
+        for column in ("k_star", "k_greedy", "value"):
+            assert getattr(small, column).tobytes() == getattr(default, column).tobytes(), column
+        for count in ("bellman_evals", "reward_evals"):
+            assert small.stats[count] == default.stats[count], count
+        assert small_values.tobytes() == values.tobytes()
+
+    # rows_built at T = 2000 before rows were built in bands, one row per
+    # read of a missing row
+    ONE_ROW_BUILDS = {
+        (1, 0.05): 1872, (1, 0.3): 1349, (1, 0.75): 460,
+        (5, 0.05): 1867, (5, 0.3): 1337, (5, 0.75): 448,
+    }
+
+    @pytest.mark.parametrize("n, eps", sorted(ONE_ROW_BUILDS))
+    def test_bands_overbuild_at_most_one_band(self, n, eps):
+        # a band holds the rows after the one read, which the window and the
+        # greedy scan read next; over the whole solve, bands and their
+        # rebuilds add at most one band of rows to the one-row builds
+        table = solve_monotone(2000, ChannelModel.homogeneous(eps, n))
+        assert int(table.k_greedy.max()) <= table.stats["rows_built"]
+        assert table.stats["rows_built"] <= self.ONE_ROW_BUILDS[n, eps] + decoding._band_rows(2000)
 
 
 class TestStructuralProperties:
@@ -507,3 +560,66 @@ class TestPolicyTableCsv:
         with pytest.raises(ValueError):
             table.value[1] = 7.0
 
+
+def _table_digest(table) -> bytes:
+    """sha256 of a plan's three columns and its Bellman and reward counts."""
+    h = hashlib.sha256()
+    for column in (table.k_star, table.k_greedy, table.value):
+        h.update(column.tobytes())
+    h.update(repr((table.stats["bellman_evals"], table.stats["reward_evals"])).encode())
+    return h.digest()
+
+
+def _golden_groups():
+    """Each group's outputs, in order, as bytes to digest."""
+    long = (1000, 2000)
+    return {
+        "oracle cases": lambda: [
+            _table_digest(solve_monotone(horizon, ch, k_cap=cap))
+            for horizon, ch, cap in _oracle_cases(220, seed=11)
+        ],
+        "homogeneous long": lambda: [
+            _table_digest(solve_monotone(horizon, ChannelModel.homogeneous(eps, n)))
+            for horizon in long
+            for eps, n in ((0.12, 5), (0.3, 20))
+        ],
+        "heterogeneous long": lambda: [
+            _table_digest(solve_monotone(horizon, ChannelModel(erasures)))
+            for horizon in long
+            for erasures in ((0.1, 0.3), (0.05, 0.2, 0.2, 0.35))
+        ],
+        "single receiver long": lambda: [
+            _table_digest(solve_monotone(horizon, ChannelModel.homogeneous(eps, 1)))
+            for horizon in long
+            for eps in (0.05, 0.3, 0.75)
+        ],
+        "decoding tables": lambda: [
+            DecodingTable(ChannelModel(erasures), horizon).values.tobytes()
+            for horizon, erasures in (
+                (7, (0.5,)),
+                (50, (0.3, 0.3, 0.3)),
+                (120, (0.0, 0.85, 1.0)),
+                (300, (0.2, 0.2)),
+                (300, (0.1, 0.2, 0.3, 0.4, 0.5)),
+            )
+        ],
+    }
+
+
+# sha256 over each group's outputs, taken before decode rows were built in
+# bands: the planner and DecodingTable must reproduce them bit for bit
+GOLDEN_DIGESTS = {
+    "oracle cases": "d2f838d1e31555f921cdd2ea5964969544ffbbba1d35ff630f62b2086add169c",
+    "homogeneous long": "6da082027488b3ddf65b6074de161d6923f5e47a3469bb44f7634785f26f57c9",
+    "heterogeneous long": "56ff277030c7bd8832977d7192fd2c4895be2648b35211708a4006373d158d4a",
+    "single receiver long": "dde23a7da6cf23a3a964349ad06173946e1c05e2d5dafd90dea670f97589972c",
+    "decoding tables": "ba06f95faf80f5cf31cb2c6388003083117cb02936bd1126e8be67b21968e0b8",
+}
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN_DIGESTS))
+def test_outputs_match_golden_digests(group):
+    h = hashlib.sha256()
+    for output in _golden_groups()[group]():
+        h.update(output)
+    assert h.hexdigest() == GOLDEN_DIGESTS[group], group
